@@ -31,7 +31,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/serve"
 	"repro/internal/stm"
-	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -201,13 +200,12 @@ func BenchmarkSynthesize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// Same drain as the serial row, so the two rows differ only in
+		// the profile representation.
 		b.Run(c.size+"/flat-serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				src := synth.NewFrom(f, uint64(i))
-				got := trace.Collect(src, 0)
-				src.Close()
-				if len(got) != len(tr) {
+				if got := core.SynthesizeTrace(f, uint64(i)); len(got) != len(tr) {
 					b.Fatal("short synthesis")
 				}
 			}
@@ -344,10 +342,17 @@ func BenchmarkServeSynth(b *testing.B) {
 		// Cold hit: every iteration demotes the profile to the disk tier
 		// first, so the request pays promotion (mmap, no decode) on top
 		// of synthesis. The tiered-store design goal is that this stays
-		// close to the warm row above.
+		// close to the warm row above. The previous request's handler
+		// may still hold its pin after the client has read the whole
+		// body, so each iteration first waits for the server to finish.
 		b.Run(c.size+"/cold", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				select {
+				case <-srv.Idle():
+				case <-time.After(10 * time.Second):
+					b.Fatal("server still had requests in flight after 10s")
+				}
 				if !srv.Store().Demote(meta.ID) {
 					b.Fatal("demote refused")
 				}

@@ -112,13 +112,14 @@ func SynthesizeFrom(v profile.View, seed uint64, opts ...SynthOption) trace.Sour
 }
 
 // SynthesizeTrace drains a full synthetic trace from the profile
-// (Option A in Fig. 1: generate a synthetic trace file up front). The
+// (Option A in Fig. 1: generate a synthetic trace file up front), in
+// either representation — a heap *profile.Profile or a flat view. The
 // result is sorted by time. The output length is known up front — every
 // leaf emits exactly its Count requests — so the trace is allocated
 // once instead of grown.
-func SynthesizeTrace(p *profile.Profile, seed uint64, opts ...SynthOption) trace.Trace {
-	src := synth.New(p, seed, opts...)
-	t := make(trace.Trace, 0, p.Requests())
+func SynthesizeTrace(v profile.View, seed uint64, opts ...SynthOption) trace.Trace {
+	src := synth.NewFrom(v, seed, opts...)
+	t := make(trace.Trace, 0, v.Requests())
 	for {
 		req, ok := src.Next()
 		if !ok {

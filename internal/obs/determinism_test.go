@@ -75,9 +75,13 @@ func TestInstrumentationDoesNotPerturbOutput(t *testing.T) {
 	// root, every stage recording into the Default registry — and the
 	// whole pipeline inside a sampled request trace with timed child
 	// spans and a ring Put, exactly as mocktailsd's middleware runs it.
+	l, v := obs.Logger(), obs.Verbose()
+	t.Cleanup(func() {
+		obs.SetVerbose(v)
+		obs.SetLogger(l)
+	})
 	obs.SetVerbose(true)
 	obs.SetLogger(slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug})))
-	defer obs.SetVerbose(false)
 	ctx, root := obs.Start(context.Background(), "determinism_test")
 	parent := obs.SpanContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Flags: obs.FlagSampled}
 	ctx, rt := obs.StartRequest(ctx, "determinism_test.request", parent)

@@ -14,6 +14,21 @@ import (
 	"time"
 )
 
+// keepLogState snapshots the process-wide logging state — the logger,
+// verbosity, log format and access-log gate — and restores it when the
+// test ends, so a test that flips any of them cannot leak the change
+// into later tests or repeated runs.
+func keepLogState(t *testing.T) {
+	t.Helper()
+	l, v, j, a := Logger(), verbose.Load(), jsonLog.Load(), accessLog.Load()
+	t.Cleanup(func() {
+		verbose.Store(v)
+		jsonLog.Store(j)
+		accessLog.Store(a)
+		logger.Store(l)
+	})
+}
+
 func TestRegisterFlagsParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterFlags(fs)
@@ -44,7 +59,7 @@ func TestRegisterFlagsParse(t *testing.T) {
 // TestSetLogFormat checks the format switch round-trips and rejects
 // unknown formats without disturbing the current logger.
 func TestSetLogFormat(t *testing.T) {
-	defer SetLogFormat("text")
+	keepLogState(t)
 	if err := SetLogFormat("json"); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +73,7 @@ func TestSetLogFormat(t *testing.T) {
 
 // TestSetAccessLog checks the access-log gate toggles.
 func TestSetAccessLog(t *testing.T) {
-	defer SetAccessLog(true)
+	keepLogState(t)
 	if !AccessLogEnabled() {
 		t.Fatal("access log should default on")
 	}
@@ -73,7 +88,7 @@ func TestSetAccessLog(t *testing.T) {
 // checks each artefact landed: parseable metrics JSON with the run's
 // stage metrics, and non-empty CPU/heap/trace profiles.
 func TestFlagsStartStop(t *testing.T) {
-	defer SetVerbose(false)
+	keepLogState(t)
 	dir := t.TempDir()
 	f := &Flags{
 		Metrics:    filepath.Join(dir, "metrics.json"),

@@ -29,7 +29,11 @@ const (
 // Write serialises the profile (uncompressed varint records). Records
 // stream through a bufio.Writer rather than accumulating in one large
 // buffer, so WriteGzip can overlap encoding with compression.
-func Write(w io.Writer, p *Profile) error {
+func Write(w io.Writer, p *Profile) error { return writeCanonical(w, p.Name, p.Config, p) }
+
+// writeCanonical emits the canonical varint encoding of any profile
+// representation; the bytes depend only on the profile contents.
+func writeCanonical(w io.Writer, name, config string, v View) error {
 	bw := bufio.NewWriter(w)
 	var tmp [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
@@ -68,11 +72,12 @@ func Write(w io.Writer, p *Profile) error {
 	binary.LittleEndian.PutUint32(hdr[0:], profileMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], profileVersion)
 	bw.Write(hdr[:])
-	putString(p.Name)
-	putString(p.Config)
-	putUvarint(uint64(len(p.Leaves)))
-	for i := range p.Leaves {
-		l := &p.Leaves[i]
+	putString(name)
+	putString(config)
+	putUvarint(uint64(v.NumLeaves()))
+	var scratch Leaf
+	for i := 0; i < v.NumLeaves(); i++ {
+		l := v.LeafView(i, &scratch)
 		putUvarint(l.StartTime)
 		putUvarint(l.StartAddr)
 		putUvarint(l.Lo)
@@ -235,10 +240,15 @@ func Read(r io.Reader) (*Profile, error) {
 // caller compresses, mirroring trace.WriteGzip; gzip output depends only
 // on the byte stream, so the bytes match an unpipelined write.
 func WriteGzip(w io.Writer, p *Profile) error {
+	return writeGzip(w, func(w io.Writer) error { return Write(w, p) })
+}
+
+// writeGzip compresses the canonical encoding that enc streams.
+func writeGzip(w io.Writer, enc func(io.Writer) error) error {
 	zw := gzip.NewWriter(w)
 	pr, pw := par.NewPipe(0, 0)
 	go func() {
-		pw.CloseWithError(Write(pw, p))
+		pw.CloseWithError(enc(pw))
 	}()
 	if _, err := io.Copy(zw, pr); err != nil {
 		pr.Close()

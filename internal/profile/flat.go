@@ -208,16 +208,21 @@ func OpenFlat(buf []byte, opts ...FlatOption) (*Flat, error) {
 		return nil, flatErr("header checksum mismatch")
 	}
 
+	// Sections are packed in order, each at the 8-aligned end of the one
+	// before, and the last one ends the buffer: no byte lies outside a
+	// section but alignment padding.
 	var secs [flatSections][]byte
+	pos := uint64(flatDataStart)
 	for i := 0; i < flatSections; i++ {
 		e := buf[flatHeaderBytes+i*flatSecEntry:]
 		off, size := le.Uint64(e[0:]), le.Uint64(e[8:])
-		if off%8 != 0 {
-			return nil, flatErr("section %d misaligned at %d", i, off)
+		if off != pos {
+			return nil, flatErr("section %d at offset %d, want %d", i, off, pos)
 		}
-		if off < flatDataStart || off > uint64(len(buf)) || size > uint64(len(buf))-off {
+		if off > uint64(len(buf)) || size > uint64(len(buf))-off {
 			return nil, flatErr("section %d span [%d,+%d) outside buffer", i, off, size)
 		}
+		pos = align8(off + size)
 		if size%secElem[i] != 0 {
 			return nil, flatErr("section %d size %d not a multiple of %d", i, size, secElem[i])
 		}
@@ -229,6 +234,9 @@ func OpenFlat(buf []byte, opts ...FlatOption) (*Flat, error) {
 		}
 	}
 
+	if pos != uint64(len(buf)) {
+		return nil, flatErr("sections end at %d in a %d-byte buffer", pos, len(buf))
+	}
 	if uint64(nameLen)+uint64(configLen) != uint64(len(secs[secStrings])) {
 		return nil, flatErr("string lengths exceed section")
 	}
@@ -274,9 +282,13 @@ func OpenFlat(buf []byte, opts ...FlatOption) (*Flat, error) {
 // validateModels bounds-checks every model record and its row table:
 // after it passes, any generator built over the views can only index
 // inside its own spans, so synthesis from a structurally valid file
-// never panics, whatever the numeric content.
+// never panics, whatever the numeric content. The Markov models' spans
+// must also tile the global tables in model order, as MarshalFlat lays
+// them out, with at most one value per edge plus the initial state, so
+// the tables hold no entry the profile does not account for.
 func (f *Flat) validateModels() error {
 	le := binary.LittleEndian
+	var rowAt, offAt, edgeAt, valAt uint64
 	for mi := 0; mi < f.nLeaves*4; mi++ {
 		rec := f.modelTab[mi*modelRecBytes : (mi+1)*modelRecBytes]
 		kind := le.Uint32(rec[0:])
@@ -294,6 +306,12 @@ func (f *Flat) validateModels() error {
 		nEdges := uint64(le.Uint32(rec[20:]))
 		valStart := uint64(le.Uint32(rec[24:]))
 		nVals := uint64(le.Uint32(rec[28:]))
+		if rowStart != rowAt || offStart != offAt || edgeStart != edgeAt || valStart != valAt {
+			return flatErr("model %d: spans not packed after the previous model's", mi)
+		}
+		if nVals == 0 || nVals > nEdges+1 {
+			return flatErr("model %d: %d values for %d edges", mi, nVals, nEdges)
+		}
 		if rowStart+nRows > uint64(len(f.rowFrom)) ||
 			offStart+nRows+1 > uint64(len(f.rowOff)) ||
 			edgeStart+nEdges > uint64(len(f.edgeTo)) ||
@@ -309,6 +327,11 @@ func (f *Flat) validateModels() error {
 				return flatErr("model %d: row offsets not monotone at %d", mi, r)
 			}
 		}
+		rowAt, offAt, edgeAt, valAt = rowAt+nRows, offAt+nRows+1, edgeAt+nEdges, valAt+nVals
+	}
+	if rowAt != uint64(len(f.rowFrom)) || offAt != uint64(len(f.rowOff)) ||
+		edgeAt != uint64(len(f.edgeTo)) || valAt != uint64(len(f.valVal)) {
+		return flatErr("tables hold entries no model references")
 	}
 	return nil
 }
@@ -416,6 +439,16 @@ func cloneModel(m markov.Model) markov.Model {
 	m.ValN = append([]uint32(nil), m.ValN...)
 	return m
 }
+
+// WriteCanonical writes the profile's canonical varint encoding — the
+// bytes Write produces for f.Profile(), streamed straight from the flat
+// sections without materialising a heap copy. Content addresses are
+// computed over these bytes.
+func (f *Flat) WriteCanonical(w io.Writer) error { return writeCanonical(w, f.name, f.config, f) }
+
+// WriteGzip writes the gzip-wrapped canonical encoding, byte-identical
+// to WriteGzip(w, f.Profile()).
+func (f *Flat) WriteGzip(w io.Writer) error { return writeGzip(w, f.WriteCanonical) }
 
 // Close releases the resources behind the buffer (the mapping, for an
 // mmap-ed file). It is a no-op for in-memory buffers and safe to call

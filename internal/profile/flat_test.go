@@ -92,6 +92,24 @@ func TestFlatRoundTrip(t *testing.T) {
 	if !bytes.Equal(canon.Bytes(), canon2.Bytes()) {
 		t.Error("flat->heap conversion changes canonical encoding")
 	}
+	// The flat view encodes itself canonically without the heap copy,
+	// and its gzip download matches the heap profile's byte for byte.
+	var canon3, gzHeap, gzFlat bytes.Buffer
+	if err := f.WriteCanonical(&canon3); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canon.Bytes(), canon3.Bytes()) {
+		t.Error("Flat.WriteCanonical differs from Write of the heap profile")
+	}
+	if err := WriteGzip(&gzHeap, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteGzip(&gzFlat); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gzHeap.Bytes(), gzFlat.Bytes()) {
+		t.Error("Flat.WriteGzip differs from WriteGzip of the heap profile")
+	}
 }
 
 func TestFlatFileMmap(t *testing.T) {
@@ -162,6 +180,53 @@ func TestFlatCorruptionDetected(t *testing.T) {
 	if _, err := OpenFlat(buf, FlatNoVerify()); err == nil {
 		t.Error("NoVerify accepted an out-of-bounds section")
 	}
+}
+
+// TestFlatRejectsSlack: a buffer holding bytes its profile does not
+// account for — past the last section, or table entries no model
+// references — is not the layout MarshalFlat writes and fails to open,
+// even with every checksum re-sealed.
+func TestFlatRejectsSlack(t *testing.T) {
+	orig, err := MarshalFlat(flatTestProfile(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var none [flatSections]uint64
+	if _, err := OpenFlat(withSlack(orig, none, 0)); err != nil {
+		t.Fatalf("re-laid buffer without slack must open: %v", err)
+	}
+	var oneValue [flatSections]uint64
+	oneValue[secValVal], oneValue[secValN] = 8, 4
+	for name, buf := range map[string][]byte{
+		"trailing bytes": withSlack(orig, none, 64),
+		"unused value":   withSlack(orig, oneValue, 0),
+	} {
+		if _, err := OpenFlat(buf); !errors.Is(err, ErrFlatFormat) {
+			t.Errorf("%s: OpenFlat error %v, want ErrFlatFormat", name, err)
+		}
+	}
+}
+
+// withSlack re-lays a flat buffer with extra[i] zero bytes appended to
+// section i and tail bytes after the last section, re-sealing every
+// checksum, so only the layout checks can refuse it.
+func withSlack(buf []byte, extra [flatSections]uint64, tail uint64) []byte {
+	le := binary.LittleEndian
+	out := append([]byte(nil), buf[:flatDataStart]...)
+	for i := 0; i < flatSections; i++ {
+		e := out[flatHeaderBytes+i*flatSecEntry:]
+		off, size := le.Uint64(e[0:]), le.Uint64(e[8:])
+		sec := append(append([]byte(nil), buf[off:off+size]...), make([]byte, extra[i])...)
+		le.PutUint64(e[0:], uint64(len(out)))
+		le.PutUint64(e[8:], uint64(len(sec)))
+		le.PutUint32(e[16:], crc32.Checksum(sec, flatCRC))
+		out = append(out, sec...)
+		out = append(out, make([]byte, align8(uint64(len(out)))-uint64(len(out)))...)
+	}
+	out = append(out, make([]byte, tail)...)
+	le.PutUint64(out[8:], uint64(len(out)))
+	fixupHeaderCRC(out)
+	return out
 }
 
 // fixupHeaderCRC recomputes the header checksum after a test mutates

@@ -138,20 +138,15 @@ func (c *cancelReadCloser) Close() error {
 	return err
 }
 
-// replicate pushes a freshly-admitted profile to its ring owner so the
-// canonical location always holds a copy, wherever the upload landed.
-// A push to self is a no-op; a failed push is logged and counted but
-// does not fail the upload — the uploader keeps its local copy and
-// fetch-on-miss covers readers until the owner recovers.
-func (c *cluster) replicate(ctx context.Context, id string, p *profile.Profile) {
+// replicate pushes a freshly-admitted profile's resident flat bytes to
+// its ring owner so the canonical location always holds a copy,
+// wherever the upload landed. A push to self is a no-op; a failed push
+// is logged and counted but does not fail the upload — the uploader
+// keeps its local copy and fetch-on-miss covers readers until the owner
+// recovers.
+func (c *cluster) replicate(ctx context.Context, id string, flat []byte) {
 	owner := c.ring.Owner(id)
 	if owner == c.self {
-		return
-	}
-	flat, err := profile.MarshalFlat(p)
-	if err != nil {
-		mClusterReplErrors.Inc()
-		obs.FromContext(ctx).Warn("cluster: flat-encoding for replication failed", "id", id, "err", err)
 		return
 	}
 	resp, err := c.do(ctx, http.MethodPost, owner+"/v1/cluster/replicate", bytes.NewReader(encodeFrame(id, flat)))
@@ -174,11 +169,11 @@ func (c *cluster) replicate(ctx context.Context, id string, p *profile.Profile) 
 
 // fetch pulls profile id from the cluster — the ring owner first, then
 // the rest of the preference sequence — over the flat .mfp wire format
-// (GET ?download=flat). The decoded profile's content address must
+// (GET ?download=flat). The verified profile's content address must
 // match the requested id; a peer serving different bytes under that
 // name is treated as an error, not a result. It returns nil (with
 // fetch_misses counted) when no reachable peer holds the profile.
-func (c *cluster) fetch(ctx context.Context, id string, maxBytes int64) *profile.Profile {
+func (c *cluster) fetch(ctx context.Context, id string, maxBytes int64) *profile.Flat {
 	log := obs.FromContext(ctx)
 	for _, peer := range c.peerSequence(id) {
 		resp, err := c.do(ctx, http.MethodGet, peer+"/v1/profiles/"+id+"?download=flat", nil)
@@ -203,7 +198,7 @@ func (c *cluster) fetch(ctx context.Context, id string, maxBytes int64) *profile
 			log.Warn("cluster: fetch body failed", "id", id, "peer", peer, "bytes", len(buf), "err", err)
 			continue
 		}
-		p, err := decodeVerifiedProfile(id, buf)
+		f, err := decodeVerifiedProfile(id, buf)
 		if err != nil {
 			mClusterPeerErrors.Inc()
 			log.Warn("cluster: fetched profile rejected", "id", id, "peer", peer, "err", err)
@@ -211,29 +206,24 @@ func (c *cluster) fetch(ctx context.Context, id string, maxBytes int64) *profile
 		}
 		mClusterFetches.Inc()
 		log.Debug("cluster: fetched profile from peer", "id", id, "peer", peer, "bytes", len(buf))
-		return p
+		return f
 	}
 	mClusterFetchMisses.Inc()
 	return nil
 }
 
-// decodeVerifiedProfile opens a flat-encoded profile and verifies that
-// its canonical content address is exactly the id it was requested or
-// announced under.
-func decodeVerifiedProfile(id string, flat []byte) (*profile.Profile, error) {
-	f, err := profile.OpenFlat(flat)
-	if err != nil {
-		return nil, err
-	}
-	p := f.Profile()
-	got, _, err := ProfileID(p)
+// decodeVerifiedProfile opens a flat-encoded profile with full checksum
+// verification and checks that its content address is exactly the id
+// it was requested or announced under; the caller admits it as is.
+func decodeVerifiedProfile(id string, flat []byte) (*profile.Flat, error) {
+	f, got, err := openAddressedFlat(flat)
 	if err != nil {
 		return nil, err
 	}
 	if got != id {
 		return nil, fmt.Errorf("serve: content address mismatch: got %s, want %s", got, id)
 	}
-	return p, nil
+	return f, nil
 }
 
 // forwardMeta proxies a metadata read to the cluster, returning the

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -280,6 +282,60 @@ func TestUploadFlatProfile(t *testing.T) {
 		t.Fatalf("flat upload: status %d deduped %v id %q, want dedupe onto %q",
 			resp.StatusCode, ur.Deduped, ur.ID, gzMeta.ID)
 	}
+}
+
+// A flat upload whose header misstates the canonical encoding size is
+// refused, even with valid checksums: the store accounts its byte
+// budget in that size, so an admitted flat must carry the true one.
+func TestUploadFlatRejectsWrongCanonicalSize(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	buf := flatBytes(t, testProfile(t, 6))
+	le := binary.LittleEndian
+	le.PutUint64(buf[32:], le.Uint64(buf[32:])+1) // header: canonical size
+	resealFlat(buf)
+	if _, err := profile.OpenFlat(buf); err != nil {
+		t.Fatalf("tampered buffer must still open, so only the size check can refuse it: %v", err)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/profiles", "application/octet-stream", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("canonical bytes")) {
+		t.Fatalf("status %d body %s, want 400 naming the canonical size", resp.StatusCode, body)
+	}
+}
+
+// A flat upload padded past its last section is refused even though its
+// header is re-sealed: the store keeps flat uploads as received but
+// charges only their canonical size, so slack would hold RAM that the
+// budget never sees.
+func TestUploadFlatRejectsSlack(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	buf := append(flatBytes(t, testProfile(t, 6)), make([]byte, 1<<20)...)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(len(buf))) // header: buffer size
+	resealFlat(buf)
+	resp, err := http.Post(ts.URL+"/v1/profiles", "application/octet-stream", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("sections end")) {
+		t.Fatalf("status %d body %s, want 400 naming the slack", resp.StatusCode, body)
+	}
+}
+
+// resealFlat recomputes the header CRC-32C of a flat buffer whose header
+// a test edited. It covers the 56-byte header and the 10-entry section
+// table with the CRC field itself zeroed.
+func resealFlat(buf []byte) {
+	const tableEnd = 56 + 10*24
+	le := binary.LittleEndian
+	le.PutUint32(buf[48:], 0)
+	le.PutUint32(buf[48:], crc32.Checksum(buf[:tableEnd], crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // A single (non-clustered) node answers the cluster health endpoint in

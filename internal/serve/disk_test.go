@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,7 +22,7 @@ func newDiskStore(t *testing.T, budget, diskBudget int64) (*Store, string) {
 
 // drain synthesizes the full stream from a pinned profile view.
 func drainPin(pin *Pin, seed uint64) trace.Trace {
-	src := synth.NewFrom(pin.View(), seed)
+	src := synth.NewFrom(pin.Flat(), seed)
 	defer src.Close()
 	return trace.Collect(src, 0)
 }
@@ -44,7 +45,7 @@ func TestDiskTierWriteThrough(t *testing.T) {
 }
 
 func TestDiskTierDemotePromoteByteIdentical(t *testing.T) {
-	s, _ := newDiskStore(t, 0, 0)
+	s, dir := newDiskStore(t, 0, 0)
 	p := testProfile(t, 2)
 	meta, _, err := s.Put(p)
 	if err != nil {
@@ -54,8 +55,14 @@ func TestDiskTierDemotePromoteByteIdentical(t *testing.T) {
 	if !ok {
 		t.Fatal("warm acquire missed")
 	}
-	if pin.Flat() != nil {
-		t.Fatal("fresh upload should be heap-backed")
+	// One buffer is both the RAM entry and the disk-tier file.
+	warm := pin.Flat().Bytes()
+	onDisk, err := os.ReadFile(filepath.Join(dir, meta.ID+flatExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(warm, onDisk) {
+		t.Fatal("disk-tier file differs from the resident bytes")
 	}
 	want := drainPin(pin, 42)
 	pin.Release()
@@ -67,15 +74,15 @@ func TestDiskTierDemotePromoteByteIdentical(t *testing.T) {
 		t.Fatalf("RAM tier holds %d entries after demotion", s.Len())
 	}
 
-	// Cold hit: promoted from disk as a flat mapping, and the stream it
-	// feeds is byte-identical to the heap profile's.
+	// Cold hit: promoted from disk as a mapping of the same bytes, and
+	// the stream it feeds is byte-identical to the warm one.
 	pin2, ok := s.Acquire(meta.ID)
 	if !ok {
 		t.Fatal("cold acquire missed a disk-tier profile")
 	}
 	defer pin2.Release()
-	if pin2.Flat() == nil {
-		t.Fatal("promoted entry should be flat-backed")
+	if !bytes.Equal(pin2.Flat().Bytes(), warm) {
+		t.Fatal("promoted entry's bytes differ from the warm entry's")
 	}
 	if pin2.Meta() != meta {
 		t.Fatalf("promoted meta %+v != uploaded meta %+v", pin2.Meta(), meta)
@@ -147,6 +154,59 @@ func TestDiskTierBudgetEvictsFiles(t *testing.T) {
 	// Still resident in RAM, so still servable.
 	if pin, ok := s.Acquire(meta.ID); !ok {
 		t.Fatal("RAM entry lost")
+	} else {
+		pin.Release()
+	}
+}
+
+// A dedupe hit writes the resident bytes back to a disk tier that had
+// lost the file (as its budget may unlink it), on the Put path and the
+// flat admission path alike, so a later RAM eviction is a demotion and
+// not a loss.
+func TestDiskTierDedupeRewritesEvictedFile(t *testing.T) {
+	s, dir := newDiskStore(t, 0, 0)
+	p := testProfile(t, 8)
+	meta, _, err := s.Put(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, meta.ID+flatExt)
+	for _, c := range []struct {
+		name    string
+		readmit func() (added bool, err error)
+	}{
+		{"Put", func() (bool, error) {
+			_, added, err := s.Put(p)
+			return added, err
+		}},
+		{"flat", func() (bool, error) {
+			f, id, err := openAddressedFlat(flatBytes(t, p))
+			if err != nil {
+				return false, err
+			}
+			pin, added, err := s.insert(id, f)
+			if err == nil {
+				pin.Release()
+			}
+			return added, err
+		}},
+	} {
+		s.disk.remove(meta.ID)
+		if added, err := c.readmit(); err != nil || added {
+			t.Fatalf("%s re-admit: added=%v err=%v, want a dedupe hit", c.name, added, err)
+		}
+		pin, _ := s.Acquire(meta.ID)
+		onDisk, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(onDisk, pin.Flat().Bytes()) {
+			t.Fatalf("%s dedupe hit did not restore the disk file from the resident bytes (err %v)", c.name, err)
+		}
+		pin.Release()
+	}
+	if !s.Demote(meta.ID) {
+		t.Fatal("Demote failed")
+	}
+	if pin, ok := s.Acquire(meta.ID); !ok {
+		t.Fatal("profile lost after RAM eviction; want a cold hit")
 	} else {
 		pin.Release()
 	}

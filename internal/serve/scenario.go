@@ -35,8 +35,8 @@ const maxScenarioSpecBytes = 1 << 20
 // (stats). Member profiles missing locally are cluster-fetched exactly
 // like single-profile synthesis, so any node can serve any mix. The
 // composed bytes are a pure function of the spec and the profile
-// contents — identical across nodes, worker counts and storage
-// representations, and identical to `mocktails compose` offline.
+// contents — identical across nodes, worker counts and warm or cold
+// residency, and identical to `mocktails compose` offline.
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxScenarioSpecBytes))
 	if err != nil {
@@ -79,7 +79,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	st, err := scenario.Compose(spec,
 		func(id string) (profile.View, func(), error) {
-			return pins[id].View(), func() {}, nil
+			return pins[id].Flat(), func() {}, nil
 		},
 		scenario.Workers(s.cfg.SynthWorkers), scenario.Context(ctx))
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -146,6 +147,12 @@ type Server struct {
 	cluster atomic.Pointer[cluster]
 
 	active atomic.Int64
+
+	// inflight counts requests until their last deferred step; idle is
+	// closed whenever it is 0.
+	idleMu   sync.Mutex
+	inflight int
+	idle     chan struct{}
 }
 
 // NewServer returns a Server with the given configuration. The error
@@ -170,7 +177,9 @@ func NewServer(cfg Config) (*Server, error) {
 		fits:    newLimiter(cfg.MaxFits),
 		streams: newLimiter(cfg.MaxStreams),
 		traces:  obs.NewTraceRing(cfg.TraceRing),
+		idle:    make(chan struct{}),
 	}
+	close(s.idle)
 	s.mux.HandleFunc("GET /healthz", s.endpoint("health", nil, s.handleHealth))
 	s.mux.HandleFunc("GET /metrics", s.endpoint("metrics", nil, s.handleMetrics))
 	s.mux.HandleFunc("GET /debug/requests", s.endpoint("debug_requests", nil, s.handleDebugRequests))
@@ -223,6 +232,29 @@ func (s *Server) Traces() *obs.TraceRing { return s.traces }
 
 // ActiveStreams returns the number of synthesis streams in flight.
 func (s *Server) ActiveStreams() int64 { return s.active.Load() }
+
+// Idle returns a channel closed once every request the server started
+// has fully finished: handler, pin releases, trace ring and access log.
+// A client can hold a whole response before then, so a check of pins
+// or traces after a response waits here first.
+func (s *Server) Idle() <-chan struct{} {
+	s.idleMu.Lock()
+	defer s.idleMu.Unlock()
+	return s.idle
+}
+
+// track adds delta to the requests in flight, closing idle when the
+// count drops to 0 and renewing it when a request starts on an idle
+// server.
+func (s *Server) track(delta int) {
+	s.idleMu.Lock()
+	defer s.idleMu.Unlock()
+	if s.inflight += delta; s.inflight == 0 {
+		close(s.idle)
+	} else if s.inflight == 1 && delta > 0 {
+		s.idle = make(chan struct{})
+	}
+}
 
 // statusWriter records the status code and body bytes a handler wrote,
 // for the per-endpoint error counters and the access log, and forwards
@@ -305,11 +337,13 @@ func (s *Server) endpoint(name string, lim *limiter, h http.HandlerFunc) http.Ha
 	reqs := obs.NewCounter("serve." + name + ".requests")
 	errs := obs.NewCounter("serve." + name + ".errors")
 	return func(w http.ResponseWriter, r *http.Request) {
+		s.track(1)
+		defer s.track(-1)
 		ctx, rt := s.startTrace(r, name)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		w.Header().Set(headerRequestID, rt.TraceID().String())
-		// The trace outlives everything in the request, including an
-		// aborted stream's panic: deferred first so it runs last.
+		// The trace outlives everything else in the request, including
+		// an aborted stream's panic: deferred early so it runs late.
 		defer s.finishTrace(rt, sw)
 		endWait := rt.StartSpan("limit.wait")
 		if !s.global.tryAcquire() {
@@ -430,11 +464,13 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	var p *profile.Profile
+	var f *profile.Flat
+	var id string
 	switch opts.Kind {
 	case KindProfile:
-		// The profile encoding is sniffed, not configured: peers
-		// replicate in the flat wire format, the CLI uploads gzip
-		// canonical, and both land here.
+		// The profile encoding is sniffed, not configured: peers and
+		// `mocktails profile -format flat` send the flat wire format,
+		// the CLI uploads gzip canonical, and both land here.
 		br := bufio.NewReader(body)
 		if hdr, _ := br.Peek(8); profile.SniffFlat(hdr) {
 			data, rerr := io.ReadAll(br)
@@ -448,12 +484,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusBadRequest, "reading profile: %v", rerr)
 				return
 			}
-			f, ferr := profile.OpenFlat(data)
-			if ferr != nil {
-				writeError(w, http.StatusBadRequest, "decoding flat profile: %v", ferr)
+			if f, id, err = openAddressedFlat(data); err != nil {
+				writeError(w, http.StatusBadRequest, "decoding flat profile: %v", err)
 				return
 			}
-			p = f.Profile()
 		} else if p, err = profile.ReadGzip(br); err != nil {
 			writeError(w, http.StatusBadRequest, "decoding profile: %v", err)
 			return
@@ -514,15 +548,18 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		}
 		mFitsServed.Inc()
 	}
-	meta, added, err := s.store.Put(p)
-	if errors.Is(err, ErrStoreFull) {
-		writeError(w, http.StatusInsufficientStorage, "%v", err)
+	var pin *Pin
+	var added bool
+	if p != nil {
+		pin, added, err = s.store.putPinned(p)
+	} else {
+		pin, added, err = s.store.insert(id, f)
+	}
+	if !s.admitted(w, err) {
 		return
 	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	defer pin.Release()
+	meta := pin.Meta()
 	// A newly-admitted profile is pushed to its ring owner before the
 	// response is written, so by the time the uploader learns the ID,
 	// any node in the cluster can already resolve it at its canonical
@@ -530,7 +567,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if added {
 		if c := s.cluster.Load(); c != nil && !isPeer(r) {
 			endRepl := obs.RequestFromContext(r.Context()).StartSpan("cluster.replicate")
-			c.replicate(r.Context(), meta.ID, p)
+			c.replicate(r.Context(), meta.ID, pin.Flat().Bytes())
 			endRepl()
 		}
 	}
@@ -543,9 +580,23 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, uploadResponse{Meta: meta, Deduped: !added})
 }
 
-// Download media types. Flat downloads are the raw zero-copy encoding
-// (docs/FORMAT.md); gz downloads are the canonical varint encoding
-// wrapped in gzip, the portable interchange format.
+// admitted reports whether a store admission succeeded, answering 507
+// (store full) or 500 when it did not.
+func (s *Server) admitted(w http.ResponseWriter, err error) bool {
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, ErrStoreFull):
+		writeError(w, http.StatusInsufficientStorage, "%v", err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	}
+	return false
+}
+
+// Download media types. Flat downloads are the resident bytes
+// (docs/FORMAT.md); gz downloads derive from them the canonical varint
+// encoding wrapped in gzip, the portable interchange format.
 const (
 	contentTypeFlat = "application/x-mocktails-flat-profile"
 	contentTypeGz   = "application/gzip"
@@ -573,25 +624,14 @@ func (s *Server) acquireOrFetch(w http.ResponseWriter, r *http.Request, id strin
 		return nil, false
 	}
 	endFetch := rt.StartSpan("cluster.fetch")
-	p := c.fetch(r.Context(), id, s.cfg.MaxUploadBytes)
+	f := c.fetch(r.Context(), id, s.cfg.MaxUploadBytes)
 	endFetch()
-	if p == nil {
+	if f == nil {
 		writeError(w, http.StatusNotFound, "no profile %q in the cluster", id)
 		return nil, false
 	}
-	if _, _, err := s.store.Put(p); err != nil {
-		if errors.Is(err, ErrStoreFull) {
-			writeError(w, http.StatusInsufficientStorage, "%v", err)
-		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
-		return nil, false
-	}
-	pin, ok = s.store.Acquire(id)
-	if !ok {
-		// The fetched profile was evicted between Put and Acquire —
-		// only possible when the store is thrashing at its budget.
-		writeError(w, http.StatusInsufficientStorage, "profile evicted before it could be pinned")
+	pin, _, err := s.store.insert(id, f)
+	if !s.admitted(w, err) {
 		return nil, false
 	}
 	return pin, true
@@ -605,44 +645,23 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer pin.Release()
-		// The response always advertises the encoding actually sent:
-		// download=gz or download=flat force one, any other truthy value
-		// means "as stored" — flat for entries backed by the disk tier's
-		// mapping, gz for decoded heap residents.
-		format := dl
-		if dl != "gz" && dl != "flat" {
-			if pin.Flat() != nil {
-				format = "flat"
-			} else {
-				format = "gz"
-			}
-		}
-		ctx := r.Context()
+		// download=gz derives the gzip canonical encoding from the
+		// resident bytes; any other value sends those bytes as they are.
+		f := pin.Flat()
 		w.Header().Set("X-Mocktails-Profile", id)
-		switch format {
-		case "flat":
-			buf := []byte(nil)
-			if f := pin.Flat(); f != nil {
-				buf = f.Bytes()
-			} else {
-				var err error
-				if buf, err = profile.MarshalFlat(pin.Profile()); err != nil {
-					writeError(w, http.StatusInternalServerError, "encoding profile: %v", err)
-					return
-				}
-			}
-			w.Header().Set("Content-Type", contentTypeFlat)
-			w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+flatExt))
-			w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-			if _, err := w.Write(buf); err != nil {
-				obs.FromContext(ctx).Debug("profile download aborted", "id", id, "err", err)
-			}
-		case "gz":
+		var err error
+		if dl == "gz" {
 			w.Header().Set("Content-Type", contentTypeGz)
 			w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".profile.gz"))
-			if err := profile.WriteGzip(w, pin.Profile()); err != nil {
-				obs.FromContext(ctx).Debug("profile download aborted", "id", id, "err", err)
-			}
+			err = f.WriteGzip(w)
+		} else {
+			w.Header().Set("Content-Type", contentTypeFlat)
+			w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+flatExt))
+			w.Header().Set("Content-Length", strconv.Itoa(len(f.Bytes())))
+			_, err = w.Write(f.Bytes())
+		}
+		if err != nil {
+			obs.FromContext(r.Context()).Debug("profile download aborted", "id", id, "err", err)
 		}
 		return
 	}
@@ -673,7 +692,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // handleReplicate admits a profile pushed by a cluster peer: one
 // replication frame carrying the claimed content address and the flat
-// profile bytes. The address is recomputed from the decoded payload
+// profile bytes. The address is recomputed from the verified payload
 // and must match — a peer cannot plant bytes under a foreign ID.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.cluster.Load() == nil {
@@ -694,20 +713,17 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p, err := decodeVerifiedProfile(id, payload)
+	f, err := decodeVerifiedProfile(id, payload)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "replicated profile rejected: %v", err)
 		return
 	}
-	meta, added, err := s.store.Put(p)
-	if errors.Is(err, ErrStoreFull) {
-		writeError(w, http.StatusInsufficientStorage, "%v", err)
+	pin, added, err := s.store.insert(id, f)
+	if !s.admitted(w, err) {
 		return
 	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	pin.Release()
+	meta := pin.Meta()
 	mClusterReplReceived.Inc()
 	status := http.StatusCreated
 	if !added {
@@ -788,10 +804,7 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	// The view is either the decoded heap profile or a zero-copy flat
-	// mapping promoted from the disk tier; synthesis is byte-identical
-	// from both, so clients cannot tell a cold hit from a warm one.
-	src := synth.NewFrom(pin.View(), opts.Seed, synth.Workers(s.cfg.SynthWorkers), synth.Context(ctx))
+	src := synth.NewFrom(pin.Flat(), opts.Seed, synth.Workers(s.cfg.SynthWorkers), synth.Context(ctx))
 	defer src.Close()
 
 	mActiveStreams.Set(float64(s.active.Add(1)))

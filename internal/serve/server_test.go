@@ -28,6 +28,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// waitIdle blocks until s has fully finished every request it started —
+// deferred pin releases and trace recording included — failing the
+// test if that takes longer than a generous deadline. A client can hold
+// a complete response before the handler's deferred work has run, so
+// tests that inspect pins, the trace ring or the access log after a
+// response wait here first.
+func waitIdle(t testing.TB, s *Server) {
+	t.Helper()
+	select {
+	case <-s.Idle():
+	case <-time.After(10 * time.Second):
+		t.Fatal("server still had requests in flight after 10s")
+	}
+}
+
 func gzProfileBody(t *testing.T, p *profile.Profile) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
@@ -353,17 +368,18 @@ func TestGetProfile(t *testing.T) {
 		t.Fatalf("get meta: status %d got %+v want %+v", resp.StatusCode, got, meta)
 	}
 
-	// ?download= round-trips the stored profile bit-exactly.
+	// ?download= round-trips the stored profile bit-exactly: the body
+	// is the resident flat encoding.
 	resp, err = http.Get(ts.URL + "/v1/profiles/" + meta.ID + "?download=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := profile.ReadGzip(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtID, _, err := ProfileID(rt)
+	_, rtID, err := openAddressedFlat(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +523,7 @@ func refsOf(s *Server, id string) int {
 
 // A client that disconnects mid-stream stops the generator: the
 // profile's pin is released and the active-stream gauge returns to
-// zero shortly after the close.
+// zero once the handler has finished.
 func TestSynthClientDisconnect(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// A bigger trace so the stream (~6 MB encoded) far exceeds socket
@@ -531,13 +547,9 @@ func TestSynthClientDisconnect(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for refsOf(s, meta.ID) != 0 || s.ActiveStreams() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("stream did not wind down: refs=%d active=%d",
-				refsOf(s, meta.ID), s.ActiveStreams())
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitIdle(t, s)
+	if refs, active := refsOf(s, meta.ID), s.ActiveStreams(); refs != 0 || active != 0 {
+		t.Fatalf("stream did not wind down: refs=%d active=%d", refs, active)
 	}
 }
 
@@ -582,6 +594,7 @@ func TestConcurrentStreams(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	waitIdle(t, s)
 	if got := refsOf(s, meta.ID); got != 0 {
 		t.Fatalf("%d pins leaked", got)
 	}
@@ -617,8 +630,8 @@ func TestParseBytes(t *testing.T) {
 
 // TestDownloadAdvertisesEncoding pins the download contract: the
 // response Content-Type and Content-Disposition always describe the
-// encoding actually sent — gz for heap residents, flat for disk-tier
-// promotions — and either encoding can be forced explicitly.
+// encoding actually sent — the resident flat bytes by default, gz when
+// asked for — and warm and cold residents serve identical bytes.
 func TestDownloadAdvertisesEncoding(t *testing.T) {
 	s, ts := newTestServer(t, Config{DiskDir: t.TempDir()})
 	p := testProfile(t, 11)
@@ -670,25 +683,35 @@ func TestDownloadAdvertisesEncoding(t *testing.T) {
 		}
 	}
 
-	// Heap-backed: stored encoding is gz; both encodings can be forced.
-	resp, body := get("1")
-	checkGz(resp, body)
-	resp, body = get("flat")
+	// Warm: the default and download=flat both send the resident flat
+	// bytes; gz is derived from them.
+	resp, warm := get("1")
+	checkFlat(resp, warm)
+	resp, body := get("flat")
 	checkFlat(resp, body)
+	resp, warmGz := get("gz")
+	checkGz(resp, warmGz)
 
-	// Demote, so the next acquire promotes a flat mapping: the stored
-	// encoding is now flat, and gz can still be forced.
+	// Demote, so the next acquire promotes the disk-tier mapping: the
+	// same bytes come back, in either encoding.
+	waitIdle(t, s)
 	if !s.Store().Demote(meta.ID) {
 		t.Fatal("Demote failed")
 	}
 	resp, body = get("1")
 	checkFlat(resp, body)
+	if !bytes.Equal(body, warm) {
+		t.Fatal("cold flat download differs from the warm one")
+	}
 	resp, body = get("gz")
 	checkGz(resp, body)
+	if !bytes.Equal(body, warmGz) {
+		t.Fatal("cold gz download differs from the warm one")
+	}
 }
 
 // TestSynthColdHitByteIdentical streams the same synthesis twice over
-// HTTP — once warm (heap resident), once cold (promoted from the disk
+// HTTP — once warm (resident in RAM), once cold (promoted from the disk
 // tier) — and requires identical bytes, the tier's core invariant.
 func TestSynthColdHitByteIdentical(t *testing.T) {
 	s, ts := newTestServer(t, Config{DiskDir: t.TempDir()})
@@ -709,6 +732,7 @@ func TestSynthColdHitByteIdentical(t *testing.T) {
 		return body
 	}
 	warm := stream()
+	waitIdle(t, s)
 	if !s.Store().Demote(meta.ID) {
 		t.Fatal("Demote failed")
 	}

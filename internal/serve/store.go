@@ -3,8 +3,9 @@
 // statistical profiles plus an HTTP API that fits uploaded traces
 // in-process and streams synthetic traces chunk-by-chunk to clients.
 // The profile is exactly the artefact the paper argues is shareable
-// where the raw trace is not — a server holds it resident once and
-// amortises the fit across arbitrarily many cheap synthesis replays.
+// where the raw trace is not — a server holds it resident once, as one
+// flat buffer, and amortises the fit across arbitrarily many cheap
+// synthesis replays.
 package serve
 
 import (
@@ -13,6 +14,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"sort"
@@ -58,17 +60,15 @@ type Meta struct {
 	Bytes    int64  `json:"bytes"`
 }
 
-// entry is one resident profile, backed by exactly one of two
-// representations: a decoded heap profile (fresh uploads) or a
-// zero-copy flat view over a memory-mapped disk-tier file (cold hits
-// promoted from disk). Synthesis consumes either through profile.View,
-// so the representations are interchangeable and byte-identical in
-// output. refs counts outstanding Pins; an entry with refs > 0 is
-// never evicted (a synthesis mid-stream must keep its profile). elem
-// is the entry's node in the shard's LRU list.
+// entry is one resident profile, held as its flat encoding: an
+// in-memory buffer for uploads, fetches and replicas, or a mapping of
+// the disk-tier file for cold hits promoted from disk. The one buffer
+// feeds synthesis, downloads, the disk tier and replication alike.
+// refs counts outstanding Pins; an entry with refs > 0 is never
+// evicted (a synthesis mid-stream must keep its profile). elem is the
+// entry's node in the shard's LRU list.
 type entry struct {
 	meta Meta
-	heap *profile.Profile
 	flat *profile.Flat
 	refs int
 	elem *list.Element
@@ -167,23 +167,44 @@ func NewTieredStore(cfg StoreConfig) (*Store, error) {
 // of its canonical encoding — along with the encoded size in bytes. The
 // encoding streams through the hash; nothing is buffered.
 func ProfileID(p *profile.Profile) (id string, size int64, err error) {
-	h := sha256.New()
-	cw := &countingHashWriter{w: h}
-	if err := profile.Write(cw, p); err != nil {
+	return contentAddress(func(w io.Writer) error { return profile.Write(w, p) })
+}
+
+// openAddressedFlat opens an untrusted flat profile with full checksum
+// verification and returns it with its content address, hashed over
+// the canonical encoding streamed from its sections. The store keeps
+// the buffer as is and charges its budget the canonical size, so that
+// size must match the header's, and OpenFlat's packed-layout check
+// leaves no slack the charge would miss.
+func openAddressedFlat(buf []byte) (*profile.Flat, string, error) {
+	f, err := profile.OpenFlat(buf)
+	if err != nil {
+		return nil, "", err
+	}
+	id, size, err := contentAddress(f.WriteCanonical)
+	if err == nil && size != f.CanonicalBytes() {
+		err = fmt.Errorf("serve: flat header records %d canonical bytes, encoding has %d", f.CanonicalBytes(), size)
+	}
+	return f, id, err
+}
+
+// contentAddress hashes the canonical encoding enc streams.
+func contentAddress(enc func(io.Writer) error) (id string, size int64, err error) {
+	cw := &countingHashWriter{Hash: sha256.New()}
+	if err := enc(cw); err != nil {
 		return "", 0, fmt.Errorf("serve: encoding profile for addressing: %w", err)
 	}
-	return hex.EncodeToString(h.Sum(nil)), cw.n, nil
+	return hex.EncodeToString(cw.Sum(nil)), cw.n, nil
 }
 
 type countingHashWriter struct {
-	w io.Writer
+	hash.Hash
 	n int64
 }
 
 func (c *countingHashWriter) Write(b []byte) (int, error) {
-	n, err := c.w.Write(b)
-	c.n += int64(n)
-	return n, err
+	c.n += int64(len(b))
+	return c.Hash.Write(b)
 }
 
 // shardFor maps a profile ID to its shard by FNV-1a.
@@ -200,40 +221,81 @@ func (s *Store) shardFor(id string) *shard {
 // room; if that cannot free enough space, Put returns ErrStoreFull and
 // the store is left unchanged.
 func (s *Store) Put(p *profile.Profile) (Meta, bool, error) {
-	id, size, err := ProfileID(p)
+	pin, added, err := s.putPinned(p)
 	if err != nil {
 		return Meta{}, false, err
 	}
-	meta := Meta{
-		ID:       id,
-		Name:     p.Name,
-		Config:   p.Config,
-		Leaves:   len(p.Leaves),
-		Requests: uint64(p.Requests()),
-		Bytes:    size,
+	pin.Release()
+	return pin.Meta(), added, nil
+}
+
+// putPinned is Put returning a pin on the resident copy. A dedupe hit
+// costs only the content hash; a new admit encodes p to its flat form
+// exactly once, and that buffer becomes the resident entry.
+func (s *Store) putPinned(p *profile.Profile) (*Pin, bool, error) {
+	id, _, err := ProfileID(p)
+	if err != nil {
+		return nil, false, err
 	}
-	// Write through to the disk tier before taking the shard lock: once
-	// the flat file exists, RAM eviction is a pure demotion (drop the
-	// entry, the bytes are already on disk) and never does IO under the
-	// lock. A write failure only degrades this profile to RAM-only.
+	if pin, added, err := s.insert(id, nil); pin != nil || err != nil {
+		return pin, added, err
+	}
+	buf, err := profile.MarshalFlat(p)
+	if err != nil {
+		return nil, false, err
+	}
+	f, err := profile.OpenFlat(buf, profile.FlatNoVerify())
+	if err != nil {
+		return nil, false, err
+	}
+	return s.insert(id, f)
+}
+
+// insert pins the profile resident under its content address id,
+// admitting the in-memory flat f on a RAM miss (a nil f admits nothing
+// and returns a nil pin). The resident bytes — f, or the copy already
+// resident on a dedupe hit — are written through to the disk tier
+// while pinned, so a later RAM eviction is a pure demotion that never
+// does IO under the lock; a write failure only degrades the profile to
+// RAM-only.
+func (s *Store) insert(id string, f *profile.Flat) (*Pin, bool, error) {
+	pin, added, err := s.pin(id, f)
+	if pin == nil {
+		return nil, false, err
+	}
+	if added {
+		mStoreUploads.Inc()
+	} else {
+		mStoreDedupe.Inc()
+	}
 	if s.disk != nil {
-		if werr := s.disk.write(id, p); werr != nil {
-			obs.Logger().Warn("disk tier write failed; profile is RAM-only", "id", id, "err", werr)
+		if err := s.disk.write(id, pin.Flat().Bytes()); err != nil {
+			obs.Logger().Warn("disk tier write failed; profile is RAM-only", "id", id, "err", err)
 		}
 	}
+	return pin, added, nil
+}
+
+// pin pins the entry resident under id, bumping its recency. On a RAM
+// miss it admits f as that entry (evicting colder ones as needed), or
+// for a nil f returns a nil pin; added reports an admission.
+func (s *Store) pin(id string, f *profile.Flat) (pin *Pin, added bool, err error) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[id]; ok {
-		sh.lru.MoveToFront(e.elem)
-		mStoreDedupe.Inc()
-		return e.meta, false, nil
+	e, ok := sh.entries[id]
+	if !ok {
+		if f == nil {
+			return nil, false, nil
+		}
+		e = &entry{meta: flatMeta(id, f), flat: f}
+		if err := s.admit(sh, e); err != nil {
+			return nil, false, err
+		}
 	}
-	if err := s.admit(sh, &entry{meta: meta, heap: p}); err != nil {
-		return Meta{}, false, err
-	}
-	mStoreUploads.Inc()
-	return meta, true, nil
+	e.refs++
+	sh.lru.MoveToFront(e.elem)
+	return &Pin{sh: sh, e: e}, !ok, nil
 }
 
 // admit inserts a fully-constructed entry into sh, evicting to make
@@ -279,19 +341,16 @@ func (s *Store) evictOne(sh *shard) bool {
 }
 
 // dropLocked removes an unpinned entry from sh, releasing its mapping
-// if it was flat-backed and counting a demotion when a disk-tier copy
-// keeps the profile servable. Caller holds sh.mu and has checked
-// e.refs == 0.
+// (a no-op for in-memory buffers) and counting a demotion when a
+// disk-tier copy keeps the profile servable. Caller holds sh.mu and
+// has checked e.refs == 0.
 func (s *Store) dropLocked(sh *shard, e *entry) {
 	sh.lru.Remove(e.elem)
 	delete(sh.entries, e.meta.ID)
 	sh.bytes -= e.meta.Bytes
 	s.totalBytes.Add(-e.meta.Bytes)
 	s.totalCount.Add(-1)
-	if e.flat != nil {
-		e.flat.Close()
-		e.flat = nil
-	}
+	e.flat.Close()
 	if s.disk != nil && s.disk.has(e.meta.ID) {
 		mDiskDemotions.Inc()
 	}
@@ -320,7 +379,6 @@ func (s *Store) Demote(id string) bool {
 // be admitted to RAM (everything resident was pinned) is private: it
 // serves this caller only and its mapping is released with the pin.
 type Pin struct {
-	s       *Store
 	sh      *shard
 	e       *entry
 	private bool
@@ -333,16 +391,10 @@ type Pin struct {
 // admitted as a resident entry (demoting colder ones as needed). The
 // second return is false when neither tier holds the profile.
 func (s *Store) Acquire(id string) (*Pin, bool) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if e, ok := sh.entries[id]; ok {
-		e.refs++
-		sh.lru.MoveToFront(e.elem)
-		sh.mu.Unlock()
+	if pin, _, _ := s.pin(id, nil); pin != nil {
 		mStoreHits.Inc()
-		return &Pin{s: s, sh: sh, e: e}, true
+		return pin, true
 	}
-	sh.mu.Unlock()
 	if s.disk == nil {
 		mStoreMisses.Inc()
 		return nil, false
@@ -355,31 +407,25 @@ func (s *Store) Acquire(id string) (*Pin, bool) {
 		mStoreMisses.Inc()
 		return nil, false
 	}
-	e := &entry{meta: flatMeta(id, f), flat: f}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prior, ok := sh.entries[id]; ok {
+	pin, added, err := s.pin(id, f)
+	if err == nil && !added {
 		f.Close()
-		prior.refs++
-		sh.lru.MoveToFront(prior.elem)
 		mStoreHits.Inc()
-		return &Pin{s: s, sh: sh, e: prior}, true
+		return pin, true
 	}
 	mStoreMisses.Inc() // it was not resident, even though the disk saved it
 	mDiskPromotions.Inc()
-	if err := s.admit(sh, e); err != nil {
+	if err != nil {
 		// RAM is wedged with pinned entries; serve this caller from a
 		// private mapping rather than failing a profile the store holds.
-		e.refs = 1
-		return &Pin{s: s, sh: sh, e: e, private: true}, true
+		return &Pin{e: &entry{meta: flatMeta(id, f), flat: f, refs: 1}, private: true}, true
 	}
-	e.refs++
-	return &Pin{s: s, sh: sh, e: e}, true
+	return pin, true
 }
 
-// flatMeta reconstructs store metadata from a flat profile's header.
-// The ID is trusted from the file name: it was content-addressed when
-// written, and the tier directory is owned by the store.
+// flatMeta builds store metadata from a flat profile's header. The
+// caller vouches for id: it was content-addressed when the flat was
+// admitted, and disk-tier files are named by it.
 func flatMeta(id string, f *profile.Flat) Meta {
 	return Meta{
 		ID:       id,
@@ -391,32 +437,10 @@ func flatMeta(id string, f *profile.Flat) Meta {
 	}
 }
 
-// View returns the pinned profile as a synthesis view — the heap
-// profile or the zero-copy flat mapping, whichever backs the entry.
-// Synthesis output is byte-identical either way.
-func (p *Pin) View() profile.View {
-	if p.e.heap != nil {
-		return p.e.heap
-	}
-	return p.e.flat
-}
-
-// Flat returns the flat view backing the pin, or nil for a heap-backed
-// entry.
+// Flat returns the pinned profile: a zero-copy synthesis view whose
+// Bytes are what the store holds, persists, replicates and serves.
+// Shared by every reader, it must not be mutated or used after Release.
 func (p *Pin) Flat() *profile.Flat { return p.e.flat }
-
-// Profile returns the pinned profile as a heap profile. For a
-// flat-backed entry this materialises a deep copy on every call —
-// prefer View for synthesis; Profile is for paths that need the
-// concrete type, like canonical re-encoding. The caller must not
-// mutate a heap-backed result — the same value is shared by every
-// concurrent stream.
-func (p *Pin) Profile() *profile.Profile {
-	if p.e.heap != nil {
-		return p.e.heap
-	}
-	return p.e.flat.Profile()
-}
 
 // Meta returns the pinned profile's metadata.
 func (p *Pin) Meta() Meta { return p.e.meta }

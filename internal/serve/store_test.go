@@ -66,7 +66,7 @@ func TestStorePutAcquireDedupe(t *testing.T) {
 	if !ok {
 		t.Fatal("Acquire missed a resident profile")
 	}
-	if pin.Meta().ID != meta.ID || pin.Profile() == nil {
+	if pin.Meta().ID != meta.ID || pin.Flat() == nil {
 		t.Fatal("pin carries wrong entry")
 	}
 	pin.Release()
@@ -276,7 +276,7 @@ func TestStoreConcurrent(t *testing.T) {
 				case 1:
 					id, _, _ := ProfileID(p)
 					if pin, ok := s.Acquire(id); ok {
-						if pin.Profile() == nil {
+						if pin.Flat() == nil {
 							t.Error("pin with nil profile")
 						}
 						pin.Release()

@@ -111,6 +111,7 @@ func TestDebugRequests(t *testing.T) {
 	if st, _ := streamSynth(t, ts.URL, meta.ID, 1); st != http.StatusOK {
 		t.Fatalf("synth status %d", st)
 	}
+	waitIdle(t, srv)
 
 	resp, err := http.Get(ts.URL + "/debug/requests?n=8")
 	if err != nil {
@@ -287,6 +288,8 @@ func TestClusterTracePropagation(t *testing.T) {
 	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
+	waitIdle(t, srvB)
+	waitIdle(t, srvA)
 	traceID := parent.TraceID.String()
 	if got := resp.Header.Get("X-Request-Id"); got != traceID {
 		t.Fatalf("X-Request-Id = %q, want %q", got, traceID)
@@ -376,6 +379,7 @@ func TestAccessLogToggle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	waitIdle(t, srv)
 	if got := buf.String(); got != "" {
 		t.Fatalf("access log emitted while disabled:\n%s", got)
 	}
@@ -389,6 +393,7 @@ func TestAccessLogToggle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	waitIdle(t, srv)
 	if !strings.Contains(buf.String(), "route=serve.health") {
 		t.Fatalf("access log missing the request line:\n%s", buf.String())
 	}

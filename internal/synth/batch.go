@@ -3,6 +3,7 @@ package synth
 import (
 	"sync"
 
+	"repro/internal/kmerge"
 	"repro/internal/markov"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -54,7 +55,7 @@ type refillJob struct {
 // stream is bit-identical to the serial one.
 type batchMerger struct {
 	streams []*leafStream
-	lt      *loserTree
+	lt      *kmerge.Tree
 	shift   uint64
 	batch   int
 	live    int
@@ -118,7 +119,7 @@ func newBatchMerger(streams []*leafStream, cfg config) *batchMerger {
 			pending++
 		}
 	}
-	m.lt = newLoserTree(times, done)
+	m.lt = kmerge.New(times, done)
 
 	if cfg.workers > 1 && pending > 0 {
 		m.jobs = make(chan refillJob, len(streams))
@@ -175,8 +176,8 @@ func (m *batchMerger) commitChunk(s *leafStream, chunk []trace.Request) {
 
 // Next returns the globally next request.
 func (m *batchMerger) Next() (trace.Request, bool) {
-	w := m.lt.winner
-	if w < 0 || m.lt.done[w] {
+	w, ok := m.lt.Winner()
+	if !ok {
 		return trace.Request{}, false
 	}
 	s := m.streams[w]
@@ -185,17 +186,16 @@ func (m *batchMerger) Next() (trace.Request, bool) {
 	s.pos++
 	m.pops++
 	if s.pos < len(s.cur) {
-		m.lt.times[w] = s.cur[s.pos].Time
+		m.lt.Advance(w, s.cur[s.pos].Time)
 	} else if m.refill(s) {
-		m.lt.times[w] = s.cur[0].Time
+		m.lt.Advance(w, s.cur[0].Time)
 	} else {
-		m.lt.eliminate(w)
+		m.lt.Eliminate(w)
 		m.live--
 		if m.live == 0 {
 			m.close()
 		}
 	}
-	m.lt.replay(w)
 	return req, true
 }
 

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"repro/internal/kmerge"
 	"repro/internal/trace"
 )
 
@@ -14,125 +15,11 @@ type Gen interface {
 	Advance() bool
 }
 
-// loserTree is a tournament tree merging k players keyed by (exhausted,
-// pending time, player index). It replaces the former container/heap
-// merger: selecting the winner is a single cached read, and replaying a
-// changed key costs exactly ceil(log2 k) comparisons on flat int/uint64
-// slices, with no interface boxing and no Pending() virtual calls inside
-// the comparator. The comparison key is the lexicographic (time, index)
-// pair the heap used, so the emission order is bit-identical.
-type loserTree struct {
-	// times holds each live player's pending timestamp; done marks
-	// exhausted players, which lose to every live one. An exhausted
-	// player's time is pinned to MaxUint64 (see eliminate) so the common
-	// path of beats is a single key comparison; done breaks the rare
-	// exact tie against a live MaxUint64 timestamp.
-	times []uint64
-	done  []bool
-	// tree[n] is the loser of the match at internal node n (tree[0] is
-	// unused); leafBase is the power-of-two leaf count, with players
-	// k..leafBase-1 being permanent byes (index -1).
-	tree     []int
-	leafBase int
-	// winner is the overall champion: the live player with the smallest
-	// (time, index) key, or -1 when there are no players at all.
-	winner int
-}
-
-func newLoserTree(times []uint64, done []bool) *loserTree {
-	t := &loserTree{times: times, done: done}
-	for i, d := range done {
-		if d {
-			t.times[i] = doneKey
-		}
-	}
-	t.build()
-	return t
-}
-
-// doneKey is the sentinel timestamp of an exhausted player.
-const doneKey = ^uint64(0)
-
-// eliminate marks player l exhausted. The caller must follow with
-// replay(l) to restore the tournament.
-func (t *loserTree) eliminate(l int) {
-	t.done[l] = true
-	t.times[l] = doneKey
-}
-
-// beats reports whether player a wins (sorts before) player b. Byes (-1)
-// and exhausted players lose to everything live; ties on time go to the
-// lower index, preserving the insertion-order tie-break. Exhausted
-// players carry the doneKey sentinel time, so only an exact tie — two
-// exhausted players, or a live timestamp equal to doneKey — has to look
-// past the key comparison.
-func (t *loserTree) beats(a, b int) bool {
-	if a < 0 {
-		return false
-	}
-	if b < 0 {
-		return true
-	}
-	if ta, tb := t.times[a], t.times[b]; ta != tb {
-		return ta < tb
-	}
-	if t.done[a] {
-		return false
-	}
-	if t.done[b] {
-		return true
-	}
-	return a < b
-}
-
-// build runs the initial tournament in O(k).
-func (t *loserTree) build() {
-	k := len(t.times)
-	if k == 0 {
-		t.winner = -1
-		return
-	}
-	lb := 1
-	for lb < k {
-		lb <<= 1
-	}
-	t.leafBase = lb
-	t.tree = make([]int, lb)
-	win := make([]int, 2*lb)
-	for i := 0; i < lb; i++ {
-		if i < k {
-			win[lb+i] = i
-		} else {
-			win[lb+i] = -1
-		}
-	}
-	for n := lb - 1; n >= 1; n-- {
-		a, b := win[2*n], win[2*n+1]
-		if t.beats(a, b) {
-			win[n], t.tree[n] = a, b
-		} else {
-			win[n], t.tree[n] = b, a
-		}
-	}
-	t.winner = win[1]
-}
-
-// replay re-runs the matches on the path from leaf l to the root after
-// l's key changed (it advanced or exhausted), updating the champion.
-func (t *loserTree) replay(l int) {
-	w := l
-	for n := (t.leafBase + l) >> 1; n >= 1; n >>= 1 {
-		if t.beats(t.tree[n], w) {
-			w, t.tree[n] = t.tree[n], w
-		}
-	}
-	t.winner = w
-}
-
 // Merger merges the partial orders of many generators into a total order
 // by timestamp, implementing trace.Source including backpressure delay.
+// Ties go to the generator that comes first (kmerge's tie-break).
 type Merger struct {
-	lt    *loserTree
+	lt    *kmerge.Tree
 	gens  []Gen
 	shift uint64
 }
@@ -150,7 +37,7 @@ func NewMerger(gens []Gen) *Merger {
 	for i, g := range m.gens {
 		times[i] = g.Pending().Time
 	}
-	m.lt = newLoserTree(times, make([]bool, len(m.gens)))
+	m.lt = kmerge.New(times, make([]bool, len(m.gens)))
 	return m
 }
 
@@ -166,19 +53,18 @@ func (m *Merger) Next() (trace.Request, bool) {
 // composition uses it to attribute each merged request back to its
 // device without wrapping every generator.
 func (m *Merger) NextIndexed() (trace.Request, int, bool) {
-	w := m.lt.winner
-	if w < 0 || m.lt.done[w] {
+	w, ok := m.lt.Winner()
+	if !ok {
 		return trace.Request{}, -1, false
 	}
 	g := m.gens[w]
 	req := g.Pending()
 	req.Time += m.shift
 	if g.Advance() {
-		m.lt.times[w] = g.Pending().Time
+		m.lt.Advance(w, g.Pending().Time)
 	} else {
-		m.lt.eliminate(w)
+		m.lt.Eliminate(w)
 	}
-	m.lt.replay(w)
 	return req, w, true
 }
 

@@ -1,6 +1,6 @@
 package trace
 
-import "container/heap"
+import "repro/internal/kmerge"
 
 // Merge combines several Sources into one, interleaving their requests in
 // timestamp order. Backpressure delay is propagated to every underlying
@@ -13,69 +13,49 @@ import "container/heap"
 // a merged stream is therefore a pure function of the sources' contents
 // and their positions, stable across refactors of the merge internals.
 func Merge(sources ...Source) Source {
-	m := &mergeSource{}
+	m := &mergeSource{srcs: sources, pending: make([]Request, len(sources))}
+	times := make([]uint64, len(sources))
+	done := make([]bool, len(sources))
 	for i, s := range sources {
-		if s == nil {
-			continue
+		// A nil or empty source keeps its position as an exhausted
+		// player, so it never shifts the tie-break of later sources.
+		req, ok := Request{}, false
+		if s != nil {
+			req, ok = s.Next()
 		}
-		if req, ok := s.Next(); ok {
-			m.h = append(m.h, mergeItem{req: req, src: s, order: i})
-		}
+		m.pending[i], times[i], done[i] = req, req.Time, !ok
 	}
-	heap.Init(&m.h)
+	m.lt = kmerge.New(times, done)
 	return m
 }
 
+// mergeSource runs the sources as the players of one kmerge tree:
+// player i is sources[i], whose next request waits in pending[i].
 type mergeSource struct {
-	h     mergeSrcHeap
-	shift uint64
+	lt      *kmerge.Tree
+	srcs    []Source
+	pending []Request
+	shift   uint64
 }
 
 func (m *mergeSource) Next() (Request, bool) {
-	if len(m.h) == 0 {
+	w, ok := m.lt.Winner()
+	if !ok {
 		return Request{}, false
 	}
-	it := m.h[0]
-	req := it.req
+	req := m.pending[w]
 	req.Time += m.shift
-	if next, ok := it.src.Next(); ok {
-		m.h[0].req = next
-		heap.Fix(&m.h, 0)
+	if next, ok := m.srcs[w].Next(); ok {
+		m.pending[w] = next
+		m.lt.Advance(w, next.Time)
 	} else {
-		heap.Pop(&m.h)
+		m.lt.Eliminate(w)
 	}
 	return req, true
 }
 
 // Delay shifts every not-yet-emitted request, both those buffered in the
-// heap and those the underlying sources will produce later. The shift is
-// kept here rather than pushed into the sources so no request is shifted
-// twice.
+// merge and those the underlying sources will produce later. The shift
+// is kept here rather than pushed into the sources so no request is
+// shifted twice.
 func (m *mergeSource) Delay(cycles uint64) { m.shift += cycles }
-
-type mergeItem struct {
-	req Request
-	src Source
-	// order is the source's position in the Merge argument list, the
-	// documented tie-break for requests sharing a timestamp.
-	order int
-}
-
-type mergeSrcHeap []mergeItem
-
-func (h mergeSrcHeap) Len() int { return len(h) }
-func (h mergeSrcHeap) Less(i, j int) bool {
-	if h[i].req.Time != h[j].req.Time {
-		return h[i].req.Time < h[j].req.Time
-	}
-	return h[i].order < h[j].order
-}
-func (h mergeSrcHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeSrcHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeSrcHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
