@@ -51,7 +51,7 @@ func main() {
 	out := flag.String("out", "", "also write results to this file")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	workers := flag.Int("j", 0, "concurrent experiments (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial)")
-	synthWorkers := flag.Int("synth-j", 1, "chunk-refill workers per synthesis (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical tables")
+	synthWorkers := flag.Int("synth-j", 1, "leaf shards per synthesis (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical tables")
 	benchJSON := flag.String("bench-json", "", "write per-experiment and synthesis {name, ns_per_op, allocs} rows to this file (forces serial runs)")
 	of := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()

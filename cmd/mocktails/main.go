@@ -330,7 +330,7 @@ func cmdSynth(args []string) {
 	seed := fs.Uint64("seed", 42, "synthesis seed")
 	n := fs.Uint64("n", 0, "emit only the first n requests (0 = all)")
 	format := fs.String("format", "gz", "output format: gz, bin or csv")
-	workers := fs.Int("j", 1, "chunk-refill workers (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical output")
+	workers := fs.Int("j", 1, "leaf shards merged on their own goroutines (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS, 1 = serial); any value gives identical output")
 	batch := fs.Int("batch", 0, "per-leaf pre-generation chunk size (0 = default); any value gives identical output")
 	of := obs.RegisterFlags(fs)
 	fs.Parse(args)
@@ -399,7 +399,7 @@ func cmdSynth(args []string) {
 	src := core.SynthesizeFrom(v, *seed, core.SynthWorkers(j), core.SynthBatch(*batch), core.SynthContext(sctx))
 	t := trace.Collect(src, int(*n))
 	if c, ok := src.(interface{ Close() }); ok {
-		c.Close() // release refill workers when -n truncated the stream
+		c.Close() // stop the leaf shards when -n truncated the stream
 	}
 	ssp.SetCount("requests", int64(len(t)))
 	ssp.End()

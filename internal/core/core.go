@@ -81,9 +81,9 @@ func BuildStream(name string, rd trace.Reader, cfg Config, opts ...BuildOption) 
 // SynthOption configures synthesis; see SynthWorkers and SynthBatch.
 type SynthOption = synth.Option
 
-// SynthWorkers sets the number of background chunk-refill workers used
-// during synthesis; <= 1 generates on the consuming goroutine. Any
-// worker count produces a bit-identical stream.
+// SynthWorkers sets the number of leaf shards synthesis generates and
+// merges on their own goroutines; <= 1 generates on the consuming
+// goroutine. Any shard count produces a bit-identical stream.
 func SynthWorkers(n int) SynthOption { return synth.Workers(n) }
 
 // SynthBatch sets the per-leaf pre-generation chunk size (<= 0 selects

@@ -110,8 +110,8 @@ type Env struct {
 	Seed uint64
 	// IntervalCycles is the 2L-TS temporal partition length.
 	IntervalCycles uint64
-	// SynthWorkers is the chunk-refill worker count handed to every
-	// Mocktails synthesis; <= 1 generates serially. Any value produces
+	// SynthWorkers is the leaf-shard count handed to every Mocktails
+	// synthesis; <= 1 generates serially. Any value produces
 	// identical tables, because synthesis output is bit-identical for
 	// every worker count.
 	SynthWorkers int

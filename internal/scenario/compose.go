@@ -35,8 +35,8 @@ type config struct {
 }
 
 // Workers sets the parallelism of device synthesis: devices are
-// constructed concurrently and each device's leaf generators fan out
-// over the same worker count. Any value produces a bit-identical
+// constructed concurrently and each device is synthesized in that many
+// leaf shards (synth.Workers). Any value produces a bit-identical
 // stream.
 func Workers(n int) Option { return func(c *config) { c.workers = n } }
 
@@ -47,8 +47,8 @@ func Context(ctx context.Context) Option { return func(c *config) { c.ctx = ctx 
 // Stream is a composed scenario: a totally-ordered merge of the
 // devices' transformed synthetic streams. It implements trace.Source;
 // NextDev additionally reports which device produced each request, for
-// per-device replay attribution. Close releases the underlying profiles
-// and any parallel synthesis workers; a Stream must be closed even when
+// per-device replay attribution. Close stops any synthesis shards and
+// releases the underlying profiles; a Stream must be closed even when
 // drained.
 type Stream struct {
 	m      *synth.Merger
@@ -83,8 +83,10 @@ func (s *Stream) NextDev() (trace.Request, int, bool) {
 // Delay adds backpressure delay to all not-yet-emitted requests.
 func (s *Stream) Delay(cycles uint64) { s.m.Delay(cycles) }
 
-// Close releases pinned profiles and abandoned synthesis workers. It is
-// safe to call more than once.
+// Close stops the devices' synthesis shards and then releases the
+// profiles: closes run in reverse order of registration, like defers, so
+// no shard can still read a profile that its release unmaps. It is safe
+// to call more than once.
 func (s *Stream) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,8 +94,8 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
-	for _, f := range s.closes {
-		f()
+	for i := len(s.closes) - 1; i >= 0; i-- {
+		s.closes[i]()
 	}
 	s.closes = nil
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -97,6 +99,58 @@ func TestComposeSerialVsParallelByteIdentical(t *testing.T) {
 	}
 	if !got[0].Sorted() {
 		t.Fatal("composed stream is not time-ordered")
+	}
+}
+
+// shardGoroutines counts the goroutines running a synthesis shard. A
+// Synthesizer's Close returns only after each shard's run has returned,
+// so the count is exact once the shards are closed.
+func shardGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "synth.(*shard).run(")
+}
+
+// TestComposeClosesShardsBeforeRelease pins the close order: a
+// resolver's release, which may unmap a flat file, runs only after every
+// device's synthesis shards have exited — whether the stream is
+// abandoned mid-flight or drained. The drained stream, several shard
+// batches long per device, must also be byte-identical at 1 and 8
+// shards per device.
+func TestComposeClosesShardsBeforeRelease(t *testing.T) {
+	p := testProfile(t, 13, 60000)
+	spec := &Spec{Devices: []Device{
+		{Profile: hexID('a'), Seed: 1},
+		{Profile: hexID('b'), Seed: 2, Dilation: 1.5, Window: &Window{Base: 1 << 30, Size: 1 << 24}},
+	}}
+	var drained []trace.Trace
+	for _, workers := range []int{1, 8} {
+		for _, take := range []int{100, -1} {
+			released := 0
+			resolve := func(id string) (profile.View, func(), error) {
+				return p, func() {
+					released++
+					if n := shardGoroutines(); n != 0 {
+						t.Errorf("workers=%d: release ran with %d shard goroutines alive", workers, n)
+					}
+				}, nil
+			}
+			s := mustCompose(t, spec, resolve, Workers(workers))
+			if workers > 1 && shardGoroutines() == 0 {
+				t.Fatal("no shard goroutines while composing with Workers(8)")
+			}
+			if take < 0 {
+				drained = append(drained, trace.Collect(s, 0))
+			} else if got := trace.Collect(s, take); len(got) != take {
+				t.Fatalf("took %d requests, want %d", len(got), take)
+			}
+			s.Close()
+			if released != 2 {
+				t.Fatalf("released %d profiles, want 2", released)
+			}
+		}
+	}
+	if len(drained[0]) != 2*p.Requests() || !reflect.DeepEqual(drained[0], drained[1]) {
+		t.Fatal("composed stream differs between 1 and 8 shards per device")
 	}
 }
 

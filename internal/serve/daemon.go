@@ -35,7 +35,7 @@ func Main(prog string, args []string) {
 	fitTimeout := fs.Duration("fit-timeout", 2*time.Minute, "timeout for one in-process fit")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-drain window after SIGTERM before in-flight streams are cut")
 	fitWorkers := fs.Int("j", 0, "fit workers per upload (0 = MOCKTAILS_PARALLELISM or GOMAXPROCS)")
-	synthWorkers := fs.Int("synth-j", 1, "chunk-refill workers per synthesis stream; any value streams identical bytes")
+	synthWorkers := fs.Int("synth-j", 0, "leaf shards per synthesis stream (0 = GOMAXPROCS / active streams); any value streams identical bytes")
 	debug := fs.Bool("debug", false, "serve net/http/pprof and expvar metrics under /debug/ on the main listener")
 	traceRing := fs.Int("trace-ring", 0, "recent request traces kept for GET /debug/requests (0 = 256)")
 	peers := fs.String("peers", "", "comma-separated base URLs of the other cluster members (e.g. http://h1:8677,http://h2:8677); empty = single node")

@@ -38,14 +38,6 @@ func (l *limiter) release() {
 	<-l.slots
 }
 
-// inFlight returns the number of slots currently taken.
-func (l *limiter) inFlight() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.slots)
-}
-
 // throttle writes the 429 response for an exhausted limiter.
 func throttle(w http.ResponseWriter) {
 	mThrottled.Inc()

@@ -76,12 +76,15 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		pins[id] = pin
 	}
 
+	mActiveStreams.Set(float64(s.active.Add(1)))
+	defer func() { mActiveStreams.Set(float64(s.active.Add(-1))) }()
+
 	ctx := r.Context()
 	st, err := scenario.Compose(spec,
 		func(id string) (profile.View, func(), error) {
 			return pins[id].Flat(), func() {}, nil
 		},
-		scenario.Workers(s.cfg.SynthWorkers), scenario.Context(ctx))
+		scenario.Workers(s.synthWorkers()), scenario.Context(ctx))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -89,9 +92,6 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	defer st.Close()
 	mScenarioComposed.Inc()
 	mScenarioDevices.Add(uint64(len(spec.Devices)))
-
-	mActiveStreams.Set(float64(s.active.Add(1)))
-	defer func() { mActiveStreams.Set(float64(s.active.Add(-1))) }()
 
 	if spec.Output == "stats" {
 		endReplay := obs.RequestFromContext(ctx).StartSpan("scenario.replay")

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -332,5 +333,43 @@ func TestScenarioPeerRequestSeesLocalOnly(t *testing.T) {
 	}
 	if !sawMiss {
 		t.Fatal("no node missed the profile; the cluster helper changed its replication shape")
+	}
+}
+
+// A client that hangs up mid-way through a composed stream stops every
+// device's synthesis: pins, shard goroutines and the active-stream
+// gauge all return to their baseline once the handler has finished.
+func TestScenarioClientDisconnect(t *testing.T) {
+	s, ts := newTestServer(t, Config{SynthWorkers: 4})
+	var ids []string
+	for seed := uint64(1); seed <= 2; seed++ {
+		p, err := core.Build(fmt.Sprintf("big%d", seed), testTrace(seed, 150_000), core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, uploadProfile(t, ts, p).ID)
+	}
+	leakcheck(t, s, ids...)
+	spec := testSpec(ids...)
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/scenarios/synth", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if got := refsOf(s, id); got != 1 {
+			t.Fatalf("mid-stream refs of %s = %d, want 1", id, got)
+		}
+	}
+	resp.Body.Close()
+	waitIdle(t, s)
+	if active := s.ActiveStreams(); active != 0 {
+		t.Fatalf("stream did not wind down: active=%d", active)
 	}
 }

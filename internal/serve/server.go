@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,9 +64,10 @@ type Config struct {
 	// FitWorkers is the worker count handed to profile fitting
 	// (0 = the MOCKTAILS_PARALLELISM / GOMAXPROCS default).
 	FitWorkers int
-	// SynthWorkers is the chunk-refill worker count per synthesis
-	// stream (0 = 1, i.e. generate on the handler goroutine; output is
-	// bit-identical for any value).
+	// SynthWorkers is the leaf-shard count per synthesis stream, each
+	// shard generated on its own goroutine (<= 0 = auto: GOMAXPROCS
+	// divided by the streams active when the request starts, at least
+	// 1; output is bit-identical for any value).
 	SynthWorkers int
 	// DiskDir, when non-empty, enables the store's disk tier: uploads
 	// are written through as flat files, RAM eviction demotes instead
@@ -118,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FitTimeout == 0 {
 		c.FitTimeout = 2 * time.Minute
-	}
-	if c.SynthWorkers == 0 {
-		c.SynthWorkers = 1
 	}
 	return c
 }
@@ -232,6 +231,16 @@ func (s *Server) Traces() *obs.TraceRing { return s.traces }
 
 // ActiveStreams returns the number of synthesis streams in flight.
 func (s *Server) ActiveStreams() int64 { return s.active.Load() }
+
+// synthWorkers returns the shard count for a stream that has just
+// joined the active ones: the configured count, or by default an equal
+// share of the cores among the active streams.
+func (s *Server) synthWorkers() int {
+	if s.cfg.SynthWorkers > 0 {
+		return s.cfg.SynthWorkers
+	}
+	return max(1, runtime.GOMAXPROCS(0)/int(s.active.Load()))
+}
 
 // Idle returns a channel closed once every request the server started
 // has fully finished: handler, pin releases, trace ring and access log.
@@ -803,12 +812,12 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 		count = opts.N
 	}
 
-	ctx := r.Context()
-	src := synth.NewFrom(pin.Flat(), opts.Seed, synth.Workers(s.cfg.SynthWorkers), synth.Context(ctx))
-	defer src.Close()
-
 	mActiveStreams.Set(float64(s.active.Add(1)))
 	defer func() { mActiveStreams.Set(float64(s.active.Add(-1))) }()
+
+	ctx := r.Context()
+	src := synth.NewFrom(pin.Flat(), opts.Seed, synth.Workers(s.synthWorkers()), synth.Context(ctx))
+	defer src.Close()
 
 	w.Header().Set("X-Mocktails-Profile", id)
 	w.Header().Set("X-Mocktails-Requests", strconv.FormatUint(count, 10))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -522,34 +523,59 @@ func refsOf(s *Server, id string) int {
 }
 
 // A client that disconnects mid-stream stops the generator: the
-// profile's pin is released and the active-stream gauge returns to
-// zero once the handler has finished.
+// profile's pin is released, the active-stream gauge returns to zero
+// and every synthesis shard has exited once the handler has finished —
+// with the default (automatic) shard count, one shard and four.
 func TestSynthClientDisconnect(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
 	// A bigger trace so the stream (~6 MB encoded) far exceeds socket
 	// buffering: the server must block mid-write until the client reads.
 	p, err := core.Build("big", testTrace(1, 300_000), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := uploadProfile(t, ts, p)
+	for _, workers := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("synth-j=%d", workers), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{SynthWorkers: workers})
+			meta := uploadProfile(t, ts, p)
+			leakcheck(t, s, meta.ID)
 
-	resp, err := http.Post(ts.URL+"/v1/profiles/"+meta.ID+"/synth", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read one chunk's worth, then hang up.
-	if _, err := io.ReadFull(resp.Body, make([]byte, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	if got := refsOf(s, meta.ID); got != 1 {
-		t.Fatalf("mid-stream refs = %d, want 1", got)
-	}
-	resp.Body.Close()
+			resp, err := http.Post(ts.URL+"/v1/profiles/"+meta.ID+"/synth", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Read one chunk's worth, then hang up.
+			if _, err := io.ReadFull(resp.Body, make([]byte, 4096)); err != nil {
+				t.Fatal(err)
+			}
+			if got := refsOf(s, meta.ID); got != 1 {
+				t.Fatalf("mid-stream refs = %d, want 1", got)
+			}
+			resp.Body.Close()
 
-	waitIdle(t, s)
-	if refs, active := refsOf(s, meta.ID), s.ActiveStreams(); refs != 0 || active != 0 {
-		t.Fatalf("stream did not wind down: refs=%d active=%d", refs, active)
+			waitIdle(t, s)
+			if active := s.ActiveStreams(); active != 0 {
+				t.Fatalf("stream did not wind down: active=%d", active)
+			}
+		})
+	}
+}
+
+// The default shard count splits the cores evenly among the active
+// streams, never below one; an explicit count is used as given.
+func TestSynthWorkersAuto(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	s, _ := newTestServer(t, Config{})
+	for _, active := range []int64{1, 2, int64(procs), int64(procs) + 1} {
+		s.active.Store(active)
+		if got, want := s.synthWorkers(), max(1, procs/int(active)); got != want {
+			t.Errorf("%d active streams: %d shards, want %d", active, got, want)
+		}
+	}
+	s.active.Store(0)
+	fixed, _ := newTestServer(t, Config{SynthWorkers: 3})
+	fixed.active.Store(64)
+	if got := fixed.synthWorkers(); got != 3 {
+		t.Errorf("SynthWorkers 3 with 64 active streams: %d shards", got)
 	}
 }
 

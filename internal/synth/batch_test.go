@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/partition"
@@ -117,7 +119,7 @@ func assertSameTrace(t *testing.T, label string, got, want trace.Trace) {
 
 // TestBatchedMatchesOldSynthesisPath asserts the tentpole invariant: the
 // rebuilt hot path (cached-total/Fenwick sampling, loser-tree merge,
-// batched chunks, parallel refill) emits a stream byte-identical to the
+// batched chunks, leaf shards) emits a stream byte-identical to the
 // pre-optimisation heap-based per-request path, for a fixed (profile,
 // seed), with and without backpressure delays.
 func TestBatchedMatchesOldSynthesisPath(t *testing.T) {
@@ -137,32 +139,96 @@ func TestBatchedMatchesOldSynthesisPath(t *testing.T) {
 				got := trace.Collect(New(p, seed, opts...), 0)
 				assertSameTrace(t, fmt.Sprintf("n=%d seed=%d opts=%d", n, seed, len(opts)), got, want)
 			}
-			// Backpressure delays interleaved identically on both paths.
+			// Backpressure delays interleaved identically on both paths:
+			// the shift applies on top of the shard merge.
 			wantD := collectWithDelays(refSynth(p, seed), 13, 100)
-			gotD := collectWithDelays(New(p, seed, Workers(4), Batch(5)), 13, 100)
-			assertSameTrace(t, fmt.Sprintf("delayed n=%d seed=%d", n, seed), gotD, wantD)
+			for _, w := range []int{1, 2, 3, 8} {
+				s := New(p, seed, Workers(w), Batch(5))
+				gotD := collectWithDelays(s, 13, 100)
+				s.Close()
+				assertSameTrace(t, fmt.Sprintf("delayed n=%d seed=%d workers=%d", n, seed, w), gotD, wantD)
+			}
 		}
 	}
+}
+
+// mixedProfile interleaves the leaves of an interval-partitioned
+// profile (eager at the default batch) with leaves several batches
+// long, so every shard split mixes both kinds of leaf stream.
+func mixedProfile(t *testing.T) *profile.Profile {
+	small := buildProfile(t, workload(31, 3000), partition.TwoLevelTS(300))
+	large := buildProfile(t, workload(32, 3000), partition.Config{Layers: []partition.Layer{
+		{Kind: partition.TemporalRequestCount, Param: 700},
+	}})
+	p := &profile.Profile{Name: "mixed"}
+	for i := 0; i < len(small.Leaves) || i < len(large.Leaves); i++ {
+		if i < len(small.Leaves) {
+			p.Leaves = append(p.Leaves, small.Leaves[i])
+		}
+		if i < len(large.Leaves) {
+			p.Leaves = append(p.Leaves, large.Leaves[i])
+		}
+	}
+	return p
+}
+
+// tiedProfile has eight leaves with identical timestamps (one request
+// per region every 16 cycles), so wherever a shard boundary falls the
+// shard merge must break cross-shard ties by leaf index.
+func tiedProfile(t *testing.T) *profile.Profile {
+	var tr trace.Trace
+	for i := uint64(0); i < 400; i++ {
+		for r := uint64(0); r < 8; r++ {
+			tr = append(tr, req(i*16, r<<20+(i%32)*64, 64, trace.Read))
+		}
+	}
+	return buildProfile(t, tr, partition.Config{Layers: []partition.Layer{
+		{Kind: partition.SpatialFixed, Param: 1 << 20},
+	}})
 }
 
 // TestSerialVsParallelSynthesisIdentical pins the determinism contract
-// of the parallel batch-refill stage across worker counts and batch
-// sizes.
+// of leaf shards: any shard count — odd, even, or more shards than
+// leaves — and any batch size emit the old per-request path's stream,
+// from heap and flat views, for interval-partitioned, mixed eager and
+// chunked, tie-heavy and empty profiles.
 func TestSerialVsParallelSynthesisIdentical(t *testing.T) {
-	tr := workload(21, 4000)
-	p := buildProfile(t, tr, partition.TwoLevelTS(400))
-	want := trace.Collect(New(p, 5), 0)
-	for _, w := range []int{2, 3, 8, 16} {
-		for _, b := range []int{1, 2, 64, DefaultBatch} {
-			got := trace.Collect(New(p, 5, Workers(w), Batch(b)), 0)
-			assertSameTrace(t, fmt.Sprintf("workers=%d batch=%d", w, b), got, want)
+	profiles := []struct {
+		name string
+		p    *profile.Profile
+	}{
+		{"interval", buildProfile(t, workload(21, 4000), partition.TwoLevelTS(400))},
+		{"mixed", mixedProfile(t)},
+		{"tied", tiedProfile(t)},
+		{"empty", &profile.Profile{}},
+	}
+	for _, c := range profiles {
+		want := trace.Collect(refSynth(c.p, 5), 0)
+		views := []profile.View{c.p, openFlat(t, c.p)}
+		for vi, v := range views {
+			for _, w := range []int{1, 2, 3, 8, len(c.p.Leaves) + 3} {
+				for _, b := range []int{1, 7, DefaultBatch} {
+					s := NewFrom(v, 5, Workers(w), Batch(b))
+					got := trace.Collect(s, 0)
+					s.Close()
+					assertSameTrace(t, fmt.Sprintf("%s view=%d workers=%d batch=%d", c.name, vi, w, b), got, want)
+				}
+			}
 		}
 	}
 }
 
-// TestParallelSynthesizerClose exercises abandoning a parallel stream
-// mid-flight; under -race this also proves the refill pipeline shuts
-// down without leaking blocked workers.
+// shardGoroutines counts the goroutines running a shard. A shard's
+// WaitGroup is released only after run returns, so once Close returns
+// the count is exactly zero, with no scheduling grace needed.
+func shardGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "synth.(*shard).run(")
+}
+
+// TestParallelSynthesizerClose exercises abandoning a sharded stream
+// mid-flight: Close must return only after every shard goroutine has
+// exited, so the caller may release the profile right after.
 func TestParallelSynthesizerClose(t *testing.T) {
 	tr := workload(22, 3000)
 	p := buildProfile(t, tr, partition.TwoLevelTS(400))
@@ -172,12 +238,21 @@ func TestParallelSynthesizerClose(t *testing.T) {
 			t.Fatal("stream ended early")
 		}
 	}
+	if n := shardGoroutines(); n == 0 {
+		t.Fatal("no shard goroutines while streaming with Workers(4)")
+	}
 	s.Close()
+	if n := shardGoroutines(); n != 0 {
+		t.Fatalf("%d shard goroutines alive after Close", n)
+	}
 	s.Close() // idempotent
-	// A fully drained parallel stream closes itself; Close stays safe.
+	// A fully drained sharded stream needs no Close; Close stays safe.
 	s2 := New(p, 1, Workers(4))
 	trace.Collect(s2, 0)
 	s2.Close()
+	if n := shardGoroutines(); n != 0 {
+		t.Fatalf("%d shard goroutines alive after drain and Close", n)
+	}
 }
 
 func TestSynthesizerEmptyProfile(t *testing.T) {

@@ -19,10 +19,10 @@ import (
 // LeafSeeds returns the per-leaf RNG seeds a Synthesizer constructed
 // with the same profile and seed hands to each leaf generator. The
 // draw order is part of the deterministic stream contract: seed i
-// drives p.Leaves[i].
-func LeafSeeds(p *profile.Profile, seed uint64) []uint64 {
+// drives leaf i.
+func LeafSeeds(v profile.View, seed uint64) []uint64 {
 	rng := stats.NewRNG(seed)
-	seeds := make([]uint64, len(p.Leaves))
+	seeds := make([]uint64, v.NumLeaves())
 	for i := range seeds {
 		seeds[i] = rng.Uint64()
 	}

@@ -8,10 +8,10 @@ package synth
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/markov"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -23,20 +23,19 @@ import (
 // drain/Close), so instrumentation costs the merge loop nothing
 // measurable and never changes the generated bytes.
 var (
-	mLeaves        = obs.NewCounter("synth.leaves")
-	mEagerLeaves   = obs.NewCounter("synth.eager_leaves")
-	mChunks        = obs.NewCounter("synth.chunks")
-	mRequests      = obs.NewCounter("synth.requests")
-	mWrapped       = obs.NewCounter("synth.addresses_wrapped")
-	mDelayCalls    = obs.NewCounter("synth.backpressure_calls")
-	mDelayCycles   = obs.NewCounter("synth.backpressure_cycles")
-	mRefillWorkers = obs.NewGauge("synth.refill_workers")
+	mLeaves      = obs.NewCounter("synth.leaves")
+	mEagerLeaves = obs.NewCounter("synth.eager_leaves")
+	mChunks      = obs.NewCounter("synth.chunks")
+	mRequests    = obs.NewCounter("synth.requests")
+	mWrapped     = obs.NewCounter("synth.addresses_wrapped")
+	mDelayCalls  = obs.NewCounter("synth.backpressure_calls")
+	mDelayCycles = obs.NewCounter("synth.backpressure_cycles")
+	mShards      = obs.NewGauge("synth.shards")
 )
 
 // DefaultBatch is the default number of requests each leaf pre-generates
 // per chunk in batched synthesis. Large enough to amortise the per-chunk
-// bookkeeping and give the parallel refill workers meaningful units of
-// work, small enough that per-leaf buffering stays a few KiB.
+// bookkeeping, small enough that per-leaf buffering stays a few KiB.
 const DefaultBatch = 256
 
 // Option configures a Synthesizer.
@@ -48,15 +47,14 @@ type config struct {
 	ctx     context.Context
 }
 
-// Workers sets the number of background chunk-refill workers. Values
-// <= 1 generate synchronously on the consuming goroutine; any value
-// produces a bit-identical stream, because every leaf draws from its own
-// forked RNG and the merge consumes committed chunks in a deterministic
-// order.
+// Workers sets the number of leaf shards, each generated and merged on
+// its own goroutine (see shard.go). Values <= 1 synthesize on the
+// consuming goroutine; any value produces a bit-identical stream.
 func Workers(n int) Option { return func(c *config) { c.workers = n } }
 
-// Batch sets the per-leaf chunk size (<= 0 selects DefaultBatch). Any
-// batch size produces a bit-identical stream.
+// Batch sets the per-leaf chunk size (<= 0 selects DefaultBatch); a
+// shard hands its output over in batches of shardBatchChunks chunks.
+// Any batch size produces a bit-identical stream.
 func Batch(n int) Option { return func(c *config) { c.batch = n } }
 
 // Context attaches a context to New for observability: the setup span
@@ -66,10 +64,14 @@ func Context(ctx context.Context) Option { return func(c *config) { c.ctx = ctx 
 
 // Synthesizer generates a request stream from a profile. It implements
 // trace.Source, so it can drive the simulators exactly like a trace
-// replayer. A Synthesizer is single-use; a parallel one (Workers > 1)
-// that is abandoned before exhaustion should be released with Close.
+// replayer. A Synthesizer is single-use; a sharded one (Workers > 1)
+// that is abandoned before exhaustion must be released with Close.
 type Synthesizer struct {
 	m *batchMerger
+	// done stops the shard goroutines and wg joins them; done is nil
+	// when the leaves are merged on the caller's goroutine.
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 // New returns a Synthesizer for the profile, seeded deterministically:
@@ -93,94 +95,84 @@ func NewFrom(v profile.View, seed uint64, opts ...Option) *Synthesizer {
 	if cfg.batch <= 0 {
 		cfg.batch = DefaultBatch
 	}
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
 	_, sp := obs.Start(cfg.ctx, "synth.init")
-	// Fork seeds are drawn serially (the draw order is part of the
-	// deterministic stream), but everything downstream of a seed is
-	// leaf-local, so generator construction and the first chunk fill —
-	// the dominant cost for interval-partitioned profiles with tens of
-	// thousands of tiny leaves — fan out across the workers. par.ForEach
-	// commits by index, so the result is identical for any worker count.
-	nl := v.NumLeaves()
-	rng := stats.NewRNG(seed)
-	seeds := make([]uint64, nl)
-	for i := range seeds {
-		seeds[i] = rng.Uint64()
+	// Seeds are drawn serially (the draw order is part of the stream);
+	// everything downstream of a seed is leaf-local, so shards can build
+	// and merge their leaf ranges independently.
+	seeds := LeafSeeds(v, seed)
+	bounds, leaves, eager := shardBounds(v, cfg.workers, cfg.batch)
+	s := &Synthesizer{}
+	if len(bounds) == 2 {
+		s.m = newLeafMerger(v, seeds, 0, len(seeds), cfg.batch, nil)
+	} else {
+		s.startShards(v, seeds, bounds, cfg.batch)
 	}
-	// All eager leaves (full output fits one batch) share one request
-	// arena, carved into per-leaf regions: a single allocation instead
-	// of one per leaf, laid out in leaf (and therefore roughly time)
-	// order, so the merge walks memory nearly sequentially. The Markov
-	// generators' mutable state (remaining-count and Fenwick scratch)
-	// is carved the same way from two shared slabs, so per-leaf setup
-	// allocates nothing at all — the whole synthesis costs a fixed
-	// handful of allocations regardless of leaf count.
-	offs := make([]int, nl+1)
-	off32 := make([]int, nl+1)
-	off64 := make([]int, nl+1)
-	off, t32, t64 := 0, 0, 0
+	s.m.counted = true
+	mLeaves.Add(uint64(leaves))
+	mEagerLeaves.Add(uint64(eager))
+	mShards.Set(float64(len(bounds) - 1))
+	sp.SetCount("leaves", int64(leaves))
+	sp.SetCount("eager_leaves", int64(eager))
+	sp.End()
+	return s
+}
+
+// newLeafMerger builds the streams of leaves [lo, hi) and the serial
+// merger over them, or returns nil if done is closed first.
+//
+// All eager leaves (full output fits one batch) share one request
+// arena, carved into per-leaf regions in leaf (and therefore roughly
+// time) order, so the merge walks memory nearly sequentially. The
+// Markov generators' mutable state (remaining-count and Fenwick
+// scratch) is carved the same way from two shared slabs, so a leaf
+// range costs a fixed handful of allocations regardless of its size.
+func newLeafMerger(v profile.View, seeds []uint64, lo, hi, batch int, done <-chan struct{}) *batchMerger {
+	reqs, n32, n64 := 0, 0, 0
 	var scratch profile.Leaf
-	for i := 0; i < nl; i++ {
-		offs[i], off32[i], off64[i] = off, t32, t64
+	for i := lo; i < hi; i++ {
+		if c := int(v.LeafCount(i)); c > 0 {
+			if c <= batch {
+				reqs += c
+			}
+			a, b := profile.LeafArena(v.LeafView(i, &scratch))
+			n32, n64 = n32+a, n64+b
+		}
+	}
+	arena := make([]trace.Request, reqs)
+	ar := markov.Arena{U32: make([]uint32, n32), U64: make([]uint64, n64)}
+	all := make([]chunkStream, hi-lo)
+	streams := make([]*chunkStream, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		if (i-lo)%256 == 0 {
+			select {
+			case <-done:
+				return nil
+			default:
+			}
+		}
 		c := int(v.LeafCount(i))
 		if c == 0 {
 			continue
 		}
-		if c <= cfg.batch {
-			off += c
+		// One scratch Leaf serves every leaf: leafGen keeps only the
+		// scalars and slice views it needs, so the scratch escapes once
+		// per range, not once per leaf.
+		l, st := v.LeafView(i, &scratch), &all[i-lo]
+		if c <= batch {
+			// Eager: a stack-local generator fills the leaf's whole
+			// output into its region of the shared arena.
+			var g leafGen
+			g.init(l, seeds[i], &ar)
+			st.cur, arena = arena[:g.fill(arena[:c])], arena[c:]
+		} else {
+			st.gen = new(leafGen)
+			st.gen.init(l, seeds[i], &ar)
+			st.slab = make([]trace.Request, batch)
+			st.cur = st.slab[:st.gen.fill(st.slab)]
 		}
-		n32, n64 := profile.LeafArena(v.LeafView(i, &scratch))
-		t32 += n32
-		t64 += n64
+		streams = append(streams, st)
 	}
-	offs[nl], off32[nl], off64[nl] = off, t32, t64
-	arena := make([]trace.Request, off)
-	u32 := make([]uint32, t32)
-	u64 := make([]uint64, t64)
-	all := make([]leafStream, nl)
-	// The two concrete representations are devirtualised by hand: an
-	// interface LeafView call makes escape analysis assume the scratch
-	// Leaf is retained, heap-allocating one per leaf and defeating the
-	// whole arena exercise. Concrete calls keep sc on the worker stack.
-	heapP, _ := v.(*profile.Profile)
-	flatP, _ := v.(*profile.Flat)
-	par.ForEach(nl, cfg.workers, func(i int) {
-		if v.LeafCount(i) == 0 {
-			return
-		}
-		var sc profile.Leaf
-		var l *profile.Leaf
-		switch {
-		case heapP != nil:
-			l = &heapP.Leaves[i]
-		case flatP != nil:
-			l = flatP.LeafView(i, &sc)
-		default:
-			var esc profile.Leaf // escapes: unknown View implementations pay one alloc per leaf
-			l = v.LeafView(i, &esc)
-		}
-		ar := markov.Arena{U32: u32[off32[i]:off32[i+1]], U64: u64[off64[i]:off64[i+1]]}
-		all[i].init(l, seeds[i], cfg.batch, arena[offs[i]:offs[i+1]], &ar)
-	})
-	streams := make([]*leafStream, 0, len(all))
-	eager := 0
-	for i := range all {
-		if v.LeafCount(i) > 0 {
-			streams = append(streams, &all[i])
-			if all[i].gen == nil {
-				eager++
-			}
-		}
-	}
-	mLeaves.Add(uint64(len(streams)))
-	mEagerLeaves.Add(uint64(eager))
-	mRefillWorkers.Set(float64(cfg.workers))
-	sp.SetCount("leaves", int64(len(streams)))
-	sp.SetCount("eager_leaves", int64(eager))
-	sp.End()
-	return &Synthesizer{m: newBatchMerger(streams, cfg)}
+	return newBatchMerger(streams)
 }
 
 // Next returns the globally next request.
@@ -189,11 +181,19 @@ func (s *Synthesizer) Next() (trace.Request, bool) { return s.m.Next() }
 // Delay adds backpressure delay to all not-yet-emitted requests.
 func (s *Synthesizer) Delay(cycles uint64) { s.m.Delay(cycles) }
 
-// Close releases the refill workers of a parallel Synthesizer that was
-// abandoned before exhaustion. It is a no-op for serial synthesizers and
-// for streams that were drained to completion, and is safe to call more
-// than once.
-func (s *Synthesizer) Close() { s.m.Close() }
+// Close releases a Synthesizer that may have been abandoned before
+// exhaustion. It returns only after every shard goroutine has exited,
+// so the caller may release or unmap the profile right after. It is
+// safe to call more than once; the caller must have stopped calling
+// Next.
+func (s *Synthesizer) Close() {
+	s.m.finish()
+	if s.done != nil {
+		close(s.done)
+		s.wg.Wait()
+		s.done = nil
+	}
+}
 
 // leafGen lazily generates the requests of one leaf. pending always holds
 // the request that has been generated but not yet emitted. The feature

@@ -17,7 +17,7 @@ import (
 
 // cancelCheckEvery is how many records the streaming encoders emit
 // between context checks. It matches synth.DefaultBatch, so a canceled
-// stream stops pulling from a Synthesizer within one refill chunk.
+// stream stops pulling from a Synthesizer within one leaf chunk.
 const cancelCheckEvery = 256
 
 // countWriter counts the bytes that reach the underlying writer, so the
